@@ -4,6 +4,9 @@ Quantifies the energy a terrestrial RAN saves when a stratospheric
 super-macro BS absorbs the traffic of lightly loaded cells so they can sleep.
 """
 
+# defined before the submodule imports, which may read it
+__version__ = "0.1.0"
+
 from .energymodel import EnergyParams, bs_energy, sleep_energy
 from .errors import (
     DegenerateTraceError,
@@ -14,16 +17,20 @@ from .errors import (
     NoCandidateError,
     UndefinedMetricError,
 )
-from .hapscapacity import TrialConfig, UEPopulation, aggregate_capacity, sample_ue_population
+from .hapscapacity import (
+    TrialConfig,
+    UEPopulation,
+    aggregate_capacity,
+    path_loss_db,
+    sample_ue_population,
+)
 from .linkbudget import (
     ChannelTables,
     LinkParams,
-    UESample,
     building_entry_loss_db,
     fspl_db,
     load_channel_tables,
     los_probability,
-    path_loss_db,
     slant_range_km,
     snr_db,
     tx_array_gain_dbi,
@@ -50,5 +57,3 @@ from .traffic import (
     save_scenario,
     scale_trace,
 )
-
-__version__ = "0.1.0"

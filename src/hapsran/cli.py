@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import datetime
 import json
 import os
@@ -21,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, montecarlo, traffic
-from .energymodel import EnergyParams
+from .energymodel import EnergyParams, bs_energy, sleep_energy
 from .errors import HapsRanError, InvalidArgumentError
 from .hapscapacity import TrialConfig
 from .linkbudget import LinkParams, load_channel_tables
 from .metrics import DEFAULT_MASKS, energy_saving
 from .montecarlo import StudyConfig, run_study, run_trial
+from .offload import OffloadConstraints, offload_week
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,21 +206,20 @@ def cmd_run(args) -> int:
 
 
 def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
-    """Re-solve trial 0 and dump its hour-by-hour schedule."""
-    from .offload import OffloadConstraints, offload_week
-
+    """Re-solve trial 0 and dump its hour-by-hour schedule with each BS's own energy."""
     cons = OffloadConstraints(
         min_active_frac=study.min_active_frac, c_haps=results[0].c_haps_mbps
     )
     schedule = offload_week(study.scenario, study.energy, cons)
-    import csv as _csv
-
+    rates = study.scenario.rate_matrix.T  # (T, N)
+    active_energy = bs_energy(study.energy, rates, study.scenario.capacities)
+    energy = np.where(schedule.active, active_energy, sleep_energy(study.energy))
     with path.open("w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["hour", "bs_id", "active", "energy"])
         for h in range(schedule.active.shape[0]):
             for i in range(schedule.active.shape[1]):
-                writer.writerow([h, i, int(schedule.active[h, i]), repr(float(schedule.energy_per_hour[h]))])
+                writer.writerow([h, i, int(schedule.active[h, i]), repr(float(energy[h, i]))])
 
 
 def cmd_trial(args) -> int:
@@ -240,7 +241,7 @@ def cmd_trial(args) -> int:
         elevation_deg=args.elevation,
         indoor_frac=args.indoor,
         traditional_frac=args.traditional,
-        rng_stream=(study.master_seed, 0, 2),
+        rng_stream=(study.master_seed, 0, montecarlo._TRIAL_STREAM),
         ue_density_per_km2=study.ue_density_per_km2,
         area_km2=scenario.area_km2,
         n_carriers=study.n_carriers,

@@ -18,7 +18,6 @@ from .errors import InvalidArgumentError
 from .linkbudget import (
     ChannelTables,
     LinkParams,
-    UESample,
     building_entry_loss_db,
     fspl_db,
     los_probability,
@@ -55,7 +54,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class UEPopulation:
-    """Column-wise UE sample set; behaves as a sequence of UESample."""
+    """Column-wise random features of one trial's UEs, all at one elevation."""
 
     elevation_deg: float
     los: np.ndarray
@@ -66,16 +65,6 @@ class UEPopulation:
 
     def __len__(self) -> int:
         return len(self.los)
-
-    def __getitem__(self, i: int) -> UESample:
-        return UESample(
-            los=bool(self.los[i]),
-            indoor=bool(self.indoor[i]),
-            traditional=bool(self.traditional[i]),
-            sf_draw=float(self.sf_draw[i]),
-            bel_p=float(self.bel_p[i]),
-            elevation_deg=self.elevation_deg,
-        )
 
 
 def _seed_sequence(stream: SeedLike) -> np.random.SeedSequence:
@@ -111,30 +100,15 @@ def sample_ue_population(cfg: TrialConfig, tables: ChannelTables) -> UEPopulatio
     )
 
 
-def _as_population(ues) -> UEPopulation:
-    if isinstance(ues, UEPopulation):
-        return ues
-    samples = list(ues)
-    if not samples:
-        raise InvalidArgumentError("UE population is empty")
-    return UEPopulation(
-        elevation_deg=samples[0].elevation_deg,
-        los=np.array([s.los for s in samples]),
-        indoor=np.array([s.indoor for s in samples]),
-        traditional=np.array([s.traditional for s in samples]),
-        sf_draw=np.array([s.sf_draw for s in samples]),
-        bel_p=np.array([s.bel_p for s in samples]),
-    )
-
-
-def ue_rates_mbps(
+def path_loss_db(
     params: LinkParams,
     tables: ChannelTables,
     pop: UEPopulation,
     use_shadow_fading: bool = True,
     use_building_entry_loss: bool = True,
 ) -> np.ndarray:
-    """Vectorized per-UE achievable rate in Mbps."""
+    """Per-UE total path loss in dB: FSPL over the slant range, the elevation
+    bucket's clutter and shadow fading per LOS state, and entry loss indoors."""
     idx = tables.bucket_index(pop.elevation_deg)
     d = slant_range_km(params.haps_height_km, pop.elevation_deg)
     pl = np.full(len(pop), fspl_db(d, params.f_c_ghz))
@@ -152,6 +126,18 @@ def ue_rates_mbps(
                 pl[mask] += building_entry_loss_db(
                     tables.bel[cls], params.f_c_ghz, pop.elevation_deg, pop.bel_p[mask]
                 )
+    return pl
+
+
+def ue_rates_mbps(
+    params: LinkParams,
+    tables: ChannelTables,
+    pop: UEPopulation,
+    use_shadow_fading: bool = True,
+    use_building_entry_loss: bool = True,
+) -> np.ndarray:
+    """Vectorized per-UE achievable rate in Mbps."""
+    pl = path_loss_db(params, tables, pop, use_shadow_fading, use_building_entry_loss)
     return ue_rate_bps(params, snr_db(params, pl)) / 1e6
 
 
@@ -159,7 +145,7 @@ def aggregate_capacity(
     cfg: TrialConfig,
     params: LinkParams,
     tables: ChannelTables,
-    ues,
+    pop: UEPopulation,
     use_shadow_fading: bool = True,
     use_building_entry_loss: bool = True,
     aggregation: str = "mean",
@@ -170,7 +156,6 @@ def aggregate_capacity(
     round-robin sharing of each carrier; "median" and "p5" (cell-edge style)
     are available as alternatives.
     """
-    pop = _as_population(ues)
     if len(pop) == 0:
         raise InvalidArgumentError("UE population is empty")
     rates = ue_rates_mbps(params, tables, pop, use_shadow_fading, use_building_entry_loss)

@@ -5,7 +5,8 @@ probability, shadow-fading sigma and clutter loss come from an embedded
 S-band dense-urban table file that users may replace with their own JSON.
 Building entry loss follows the dual-lognormal "loss not exceeded with
 probability p" model with separate coefficient sets for traditional and
-thermally efficient buildings.
+thermally efficient buildings.  The per-UE combination of these terms is
+``hapscapacity.path_loss_db``, vectorized over a UE population.
 """
 
 from __future__ import annotations
@@ -124,24 +125,6 @@ class LinkParams:
             raise InvalidArgumentError("bandwidth, height and frequency must be positive")
 
 
-@dataclass(frozen=True)
-class UESample:
-    """Random features of one UE in one trial."""
-
-    los: bool
-    indoor: bool
-    traditional: bool
-    sf_draw: float
-    bel_p: float
-    elevation_deg: float
-
-    def __post_init__(self):
-        if not 10 <= self.elevation_deg <= 90:
-            raise InvalidArgumentError("elevation must be within [10, 90] degrees")
-        if not 0 < self.bel_p < 1:
-            raise InvalidArgumentError("bel_p must be in (0, 1)")
-
-
 def fspl_db(d_km: float, f_c_ghz: float) -> float:
     """Free-space path loss for distance in km and frequency in GHz."""
     if d_km <= 0 or f_c_ghz <= 0:
@@ -193,22 +176,6 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
     b = mu2 + sigma2 * z
     out = 10 * np.log10(10 ** (0.1 * a) + 10 ** (0.1 * b) + 10 ** (0.1 * _BEL_FLOOR_DB))
     return float(out) if out.ndim == 0 else out
-
-
-def path_loss_db(tables: ChannelTables, params: LinkParams, ue: UESample) -> float:
-    """Total path loss for one UE: basic loss plus entry loss when indoors."""
-    idx = tables.bucket_index(ue.elevation_deg)
-    d = slant_range_km(params.haps_height_km, ue.elevation_deg)
-    basic = fspl_db(d, params.f_c_ghz)
-    if ue.los:
-        basic += ue.sf_draw * tables.sf_sigma_los[idx] + tables.clutter_los[idx]
-    else:
-        basic += ue.sf_draw * tables.sf_sigma_nlos[idx] + tables.clutter_nlos[idx]
-    entry = 0.0
-    if ue.indoor:
-        cls = "traditional" if ue.traditional else "thermally_efficient"
-        entry = building_entry_loss_db(tables.bel[cls], params.f_c_ghz, ue.elevation_deg, ue.bel_p)
-    return basic + entry
 
 
 def snr_db(params: LinkParams, pl_db) -> float:

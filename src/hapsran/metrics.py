@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import InvalidArgumentError, UndefinedMetricError
 from .montecarlo import StudyConfig, TrialResult
 from .traffic import HOURS_PER_WEEK, TrafficScenario
@@ -168,7 +169,7 @@ def write_trials_csv(path: str | Path, results: list[TrialResult]) -> None:
 
 
 def study_config_digest(study: StudyConfig) -> str:
-    """Stable hash of the study settings (scenario identified by shape/sums)."""
+    """Stable hash of every study input: settings, channel tables and the full scenario."""
     doc = {
         "n_trials": study.n_trials,
         "master_seed": study.master_seed,
@@ -183,8 +184,10 @@ def study_config_digest(study: StudyConfig) -> str:
         "aggregation": study.aggregation,
         "link": repr(study.link),
         "energy": repr(study.energy),
-        "scenario_n_bs": study.scenario.n_bs,
-        "scenario_checksum": repr(float(study.scenario.rate_matrix.sum())),
+        "tables": repr(study.tables),
+        "scenario_rates_sha256": hashlib.sha256(study.scenario.rate_matrix.tobytes()).hexdigest(),
+        "scenario_stats": repr(study.scenario.stats),
+        "scenario_area_km2": repr(study.scenario.area_km2),
     }
     blob = json.dumps(doc, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -193,7 +196,7 @@ def study_config_digest(study: StudyConfig) -> str:
 def write_manifest(path: str | Path, study: StudyConfig, wall_clock_s: float, created_utc: str) -> None:
     doc = {
         "artifact": "hapsran",
-        "version": "0.1.0",
+        "version": __version__,
         "master_seed": study.master_seed,
         "n_trials": study.n_trials,
         "n_workers": study.n_workers,

@@ -25,6 +25,8 @@ DAYS_PER_WEEK = 7
 # nearest-rank index of the 5th percentile over 168 hourly samples
 _P5_RANK = math.ceil(0.05 * HOURS_PER_WEEK) - 1
 
+_CSV_HEADER = ["bs_id", "hour", "rate_mbps"]
+
 
 def percentile_nearest_rank(values: np.ndarray, fraction: float) -> float:
     """Nearest-rank percentile: the ceil(fraction*n)-th smallest sample."""
@@ -87,40 +89,40 @@ class BSStats:
             raise InvalidArgumentError("peak exceeds max_load * capacity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrafficScenario:
-    """M matched weekly traces with their per-BS stats."""
+    """N matched weekly traces as one read-only (N, 168) rate matrix, with per-BS stats."""
 
-    traces: tuple[WeeklyTrace, ...]
+    rate_matrix: np.ndarray
     stats: tuple[BSStats, ...]
     area_km2: float = 30.0
-    _rate_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    capacities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        traces = tuple(self.traces)
+        rates = np.array(self.rate_matrix, dtype=float)
         stats = tuple(self.stats)
-        if len(traces) != len(stats) or not traces:
-            raise InvalidArgumentError("traces and stats must be equal-length and non-empty")
-        rates = np.stack([t.values for t in traces])
+        if rates.shape != (len(stats), HOURS_PER_WEEK) or not stats:
+            raise InvalidArgumentError(f"rate matrix {rates.shape} is not (n_bs={len(stats)}, 168)")
+        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+            raise InvalidArgumentError("trace values must be finite and >= 0")
         caps = np.array([s.max_load * s.capacity for s in stats])
         if np.any(rates > caps[:, None] * (1 + 1e-9)):
             raise InvalidArgumentError("a trace exceeds max_load * capacity for its BS")
-        object.__setattr__(self, "traces", traces)
+        capacities = np.array([s.capacity for s in stats])
+        rates.flags.writeable = False
+        capacities.flags.writeable = False
+        object.__setattr__(self, "rate_matrix", rates)
         object.__setattr__(self, "stats", stats)
-        object.__setattr__(self, "_rate_matrix", rates)
+        object.__setattr__(self, "capacities", capacities)
 
     @property
     def n_bs(self) -> int:
-        return len(self.traces)
+        return len(self.stats)
 
     @property
-    def rate_matrix(self) -> np.ndarray:
-        """(N, 168) array of hourly rates in Mbps."""
-        return self._rate_matrix
-
-    @property
-    def capacities(self) -> np.ndarray:
-        return np.array([s.capacity for s in self.stats])
+    def traces(self) -> tuple[WeeklyTrace, ...]:
+        """One WeeklyTrace per BS, each a view of its rate_matrix row."""
+        return tuple(WeeklyTrace(row) for row in self.rate_matrix)
 
 
 def _diurnal_profile(rng: np.random.Generator) -> np.ndarray:
@@ -195,31 +197,36 @@ def scale_trace(base: WeeklyTrace, target: BSStats) -> WeeklyTrace:
     return WeeklyTrace(np.clip(a * base.values + b, 0.0, None))
 
 
-def _match_index(
-    base_matrix: np.ndarray, base_peaks: np.ndarray, base_p5s: np.ndarray, target: BSStats
-) -> tuple[int, np.ndarray]:
-    """Index and values of the scaled candidate with the closest mean."""
-    usable = base_peaks > base_p5s
+def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray:
+    """Per target, the scaled base trace whose mean is nearest the target mean.
+
+    All candidates are scaled into one reused buffer, so memory is flat in len(targets).
+    """
+    peaks = base_matrix.max(axis=1)
+    p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
+    usable = peaks > p5s
     if not np.any(usable):
         raise NoCandidateError("all candidate base traces are degenerate")
-    a = np.where(usable, (target.peak - target.p5) / np.where(usable, base_peaks - base_p5s, 1.0), np.nan)
-    b = target.p5 - a * base_p5s
-    scaled = np.clip(a[:, None] * base_matrix + b[:, None], 0.0, None)
-    dev = np.abs(scaled.mean(axis=1) - target.mean)
-    dev[~usable] = np.inf
-    idx = int(np.argmin(dev))  # argmin keeps the lowest index on ties
-    return idx, scaled[idx]
+    spans = np.where(usable, peaks - p5s, 1.0)
+    scaled = np.empty_like(base_matrix)
+    out = np.empty((len(targets), HOURS_PER_WEEK))
+    for i, target in enumerate(targets):
+        a = np.where(usable, (target.peak - target.p5) / spans, np.nan)
+        b = target.p5 - a * p5s
+        np.multiply(a[:, None], base_matrix, out=scaled)
+        scaled += b[:, None]
+        np.clip(scaled, 0.0, None, out=scaled)
+        dev = np.abs(scaled.mean(axis=1) - target.mean)
+        dev[~usable] = np.inf
+        out[i] = scaled[np.argmin(dev)]  # argmin keeps the lowest index on ties
+    return out
 
 
 def match_trace(bases: list[WeeklyTrace], target: BSStats) -> WeeklyTrace:
     """Pick the scaled base trace whose mean is nearest the target mean."""
     if not bases:
         raise NoCandidateError("no base traces supplied")
-    base_matrix = np.stack([t.values for t in bases])
-    peaks = base_matrix.max(axis=1)
-    p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
-    _, values = _match_index(base_matrix, peaks, p5s, target)
-    return WeeklyTrace(values)
+    return WeeklyTrace(_matched_rows(np.stack([t.values for t in bases]), [target])[0])
 
 
 def build_scenario(
@@ -232,14 +239,8 @@ def build_scenario(
     """Generate bases and targets, then match one scaled trace per target."""
     bases = generate_base_traces(n_bases, seed)
     stats = generate_target_stats(m_targets, seed, **stats_kwargs)
-    base_matrix = np.stack([t.values for t in bases])
-    peaks = base_matrix.max(axis=1)
-    p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
-    traces = []
-    for target in stats:
-        _, values = _match_index(base_matrix, peaks, p5s, target)
-        traces.append(WeeklyTrace(values))
-    return TrafficScenario(traces=tuple(traces), stats=tuple(stats), area_km2=area_km2)
+    rates = _matched_rows(np.stack([t.values for t in bases]), stats)
+    return TrafficScenario(rate_matrix=rates, stats=tuple(stats), area_km2=area_km2)
 
 
 def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: str | Path) -> None:
@@ -247,10 +248,9 @@ def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: s
     csv_path, stats_path = Path(csv_path), Path(stats_path)
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bs_id", "hour", "rate_mbps"])
-        for i, trace in enumerate(scenario.traces):
-            for h, rate in enumerate(trace.values):
-                writer.writerow([i, h, repr(float(rate))])
+        writer.writerow(_CSV_HEADER)
+        for i, row in enumerate(scenario.rate_matrix.tolist()):
+            writer.writerows([i, h, repr(rate)] for h, rate in enumerate(row))
     sidecar = {
         "area_km2": scenario.area_km2,
         "n_bs": scenario.n_bs,
@@ -269,16 +269,35 @@ def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: s
 
 
 def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenario:
+    """Read save_scenario's files, requiring one valid row per (bs_id, hour) of n_bs BSs."""
     sidecar = json.loads(Path(stats_path).read_text())
-    n_bs = sidecar["n_bs"]
+    try:
+        stats = tuple(BSStats(**entry) for entry in sidecar["stats"])
+        n_bs, area_km2 = len(stats), sidecar["area_km2"]
+        if sidecar["n_bs"] != n_bs:
+            raise InvalidArgumentError(f"sidecar n_bs {sidecar['n_bs']!r} != {n_bs} stats")
+    except (KeyError, TypeError) as exc:
+        raise InvalidArgumentError(f"malformed scenario sidecar {stats_path}: {exc!r}") from exc
     rates = np.zeros((n_bs, HOURS_PER_WEEK))
+    seen = np.zeros((n_bs, HOURS_PER_WEEK), dtype=bool)
     with Path(csv_path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["bs_id", "hour", "rate_mbps"]:
+        header = next(reader, None)
+        if header != _CSV_HEADER:
             raise InvalidArgumentError(f"unexpected scenario CSV header: {header}")
-        for bs_id, hour, rate in reader:
-            rates[int(bs_id), int(hour)] = float(rate)
-    stats = tuple(BSStats(**entry) for entry in sidecar["stats"])
-    traces = tuple(WeeklyTrace(row) for row in rates)
-    return TrafficScenario(traces=traces, stats=stats, area_km2=sidecar["area_km2"])
+        for row in reader:
+            try:
+                bs_id, hour, rate = row
+                i, h, value = int(bs_id), int(hour), float(rate)
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{csv_path}:{reader.line_num}: bad row {row}") from exc
+            if not (0 <= i < n_bs and 0 <= h < HOURS_PER_WEEK) or seen[i, h]:
+                raise InvalidArgumentError(
+                    f"{csv_path}:{reader.line_num}: row ({i}, {h}) out of range or repeated"
+                )
+            seen[i, h] = True
+            rates[i, h] = value
+    if not seen.all():
+        i, h = np.argwhere(~seen)[0]
+        raise InvalidArgumentError(f"{csv_path}: no row for (bs_id, hour) ({i}, {h})")
+    return TrafficScenario(rate_matrix=rates, stats=stats, area_km2=area_km2)

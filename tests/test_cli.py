@@ -1,7 +1,18 @@
+import csv
 import json
+import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hapsran import (
+    EnergyParams,
+    OffloadConstraints,
+    load_channel_tables,
+    load_scenario,
+    offload_week,
+)
 from hapsran.cli import main
 
 SMALL_CONFIG = """\
@@ -96,6 +107,56 @@ class TestRunCommand:
         assert code == 0
         header = (tmp_path / "schedule.csv").read_text().splitlines()[0]
         assert header == "hour,bs_id,active,energy"
+
+    def test_export_schedule_energy_is_per_bs(self, config_file, scenario_dir, tmp_path):
+        argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                "--out", str(tmp_path), "--trials", "1", "--export-schedule"]
+        assert main(argv) == 0
+        with (tmp_path / "trials.csv").open(newline="") as fh:
+            c_haps = float(next(csv.DictReader(fh))["c_haps_mbps"])
+        scenario = load_scenario(Path(scenario_dir) / "scenario.csv",
+                                 Path(scenario_dir) / "scenario_stats.json")
+        params = EnergyParams()
+        schedule = offload_week(scenario, params, OffloadConstraints(0.4, c_haps))
+        per_hour = np.zeros(len(schedule.energy_per_hour))
+        with (tmp_path / "schedule.csv").open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                per_hour[int(row["hour"])] += float(row["energy"])
+                if row["active"] == "0":
+                    assert float(row["energy"]) == params.e0
+        np.testing.assert_allclose(per_hour, schedule.energy_per_hour, rtol=1e-12)
+
+    def test_malformed_scenario_csv_exit_2(self, config_file, scenario_dir, tmp_path):
+        broken = tmp_path / "scenario"
+        shutil.copytree(scenario_dir, broken)
+        lines = (broken / "scenario.csv").read_text().splitlines(keepends=True)
+        (broken / "scenario.csv").write_text("".join(lines[:-1]))  # drop the last (bs, hour) row
+        argv = ["run", "--config", config_file, "--scenario", str(broken),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+
+    def test_channel_tables_change_config_digest(self, config_file, scenario_dir, tmp_path):
+        tables = load_channel_tables()
+        doc = {
+            "environment": tables.environment,
+            "band": tables.band,
+            "angles_deg": list(tables.angles_deg),
+            "los_prob": list(tables.los_prob),
+            "sf_sigma": {"los": list(tables.sf_sigma_los), "nlos": list(tables.sf_sigma_nlos)},
+            "clutter": {"los": list(tables.clutter_los), "nlos": list(tables.clutter_nlos)},
+            "bel": {cls: vars(c) for cls, c in tables.bel.items()},
+        }
+        doc["clutter"]["nlos"][-1] += 1.0  # the 90-degree bucket
+        custom = tmp_path / "tables.json"
+        custom.write_text(json.dumps(doc))
+        digests = []
+        for extra in ([], ["--channel-tables", str(custom)]):
+            out = tmp_path / f"o{len(extra)}"
+            argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                    "--out", str(out), "--trials", "1", *extra]
+            assert main(argv) == 0
+            digests.append(json.loads((out / "manifest.json").read_text())["config_sha256"])
+        assert digests[0] != digests[1]
 
 
 class TestTrialCommand:

@@ -4,7 +4,6 @@ import pytest
 from hapsran import (
     InvalidArgumentError,
     TrialConfig,
-    UESample,
     aggregate_capacity,
     sample_ue_population,
 )
@@ -49,12 +48,6 @@ class TestSampling:
         with_bel = ue_rates_mbps(link, tables, pop, use_building_entry_loss=True)
         without = ue_rates_mbps(link, tables, pop, use_building_entry_loss=False)
         np.testing.assert_array_equal(with_bel, without)
-
-    def test_sequence_protocol(self, tables):
-        pop = sample_ue_population(make_cfg(ue_density_per_km2=10.0), tables)
-        sample = pop[0]
-        assert isinstance(sample, UESample)
-        assert sample.elevation_deg == 90.0
 
 
 class TestAggregation:
@@ -143,14 +136,6 @@ class TestAggregation:
     def test_empty_population_rejected(self, tables, link):
         with pytest.raises(InvalidArgumentError):
             aggregate_capacity(make_cfg(), link, tables, [])
-
-    def test_list_of_samples_accepted(self, tables, link):
-        cfg = make_cfg(ue_density_per_km2=5.0)
-        pop = sample_ue_population(cfg, tables)
-        samples = [pop[i] for i in range(len(pop))]
-        assert aggregate_capacity(cfg, link, tables, samples) == pytest.approx(
-            aggregate_capacity(cfg, link, tables, pop), rel=1e-12
-        )
 
 
 class TestConfigValidation:

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from hapsran import (
     InvalidArgumentError,
     LinkParams,
-    UESample,
+    UEPopulation,
     building_entry_loss_db,
     fspl_db,
     load_channel_tables,
@@ -113,40 +113,47 @@ class TestBuildingEntryLoss:
                 building_entry_loss_db(tables.bel["traditional"], 2, 60, p)
 
 
-class TestPathLoss:
-    def outdoor_ue(self, **kw):
-        defaults = dict(
-            los=True, indoor=False, traditional=False, sf_draw=0.0, bel_p=0.5, elevation_deg=90.0
-        )
-        defaults.update(kw)
-        return UESample(**defaults)
+def ues(elevation_deg=90.0, **columns):
+    """UE population whose columns default to one outdoor LOS UE with no fading.
 
+    Given columns are broadcast to the length of the longest one.
+    """
+    defaults = dict(los=True, indoor=False, traditional=False, sf_draw=0.0, bel_p=0.5)
+    defaults.update(columns)
+    n = max(np.size(v) for v in defaults.values())
+    return UEPopulation(
+        elevation_deg=elevation_deg,
+        **{k: np.broadcast_to(np.asarray(v), (n,)) for k, v in defaults.items()},
+    )
+
+
+class TestPathLoss:
     def test_outdoor_los_zenith_is_pure_fspl(self, tables, link):
-        pl = path_loss_db(tables, link, self.outdoor_ue())
+        (pl,) = path_loss_db(link, tables, ues())
         assert pl == pytest.approx(fspl_db(20, 2), abs=1e-9)
         assert pl == pytest.approx(124.49, abs=0.01)
 
     def test_indoor_strictly_greater(self, tables, link):
-        outdoor = path_loss_db(tables, link, self.outdoor_ue())
-        indoor = path_loss_db(tables, link, self.outdoor_ue(indoor=True, traditional=True))
-        assert indoor > outdoor
+        outdoor, trad, eff = path_loss_db(
+            link, tables, ues(indoor=[False, True, True], traditional=[False, True, False])
+        )
+        assert trad > outdoor
+        assert eff > outdoor
 
     def test_sf_draw_linearity(self, tables, link):
-        hi = path_loss_db(tables, link, self.outdoor_ue(sf_draw=1.0))
-        lo = path_loss_db(tables, link, self.outdoor_ue(sf_draw=-1.0))
+        hi, lo = path_loss_db(link, tables, ues(sf_draw=[1.0, -1.0]))
         sigma = tables.sf_sigma_los[tables.bucket_index(90)]
         assert hi - lo == pytest.approx(2 * sigma, abs=1e-9)
 
     def test_nlos_gets_clutter(self, tables, link):
-        los = path_loss_db(tables, link, self.outdoor_ue())
-        nlos = path_loss_db(tables, link, self.outdoor_ue(los=False))
+        los, nlos = path_loss_db(link, tables, ues(los=[True, False]))
         idx = tables.bucket_index(90)
         assert nlos - los == pytest.approx(tables.clutter_nlos[idx], abs=1e-9)
 
     def test_decreasing_in_elevation_outdoor(self, tables, link):
         for los in (True, False):
             pls = [
-                path_loss_db(tables, link, self.outdoor_ue(los=los, elevation_deg=a))
+                path_loss_db(link, tables, ues(elevation_deg=a, los=los))[0]
                 for a in (60, 70, 80, 90)
             ]
             assert all(b < a for a, b in zip(pls, pls[1:]))

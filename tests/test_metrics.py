@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hapsran import StudyConfig, UndefinedMetricError, run_study
+from hapsran import StudyConfig, TrafficScenario, UndefinedMetricError, run_study
 from hapsran.metrics import (
     DEFAULT_MASKS,
     NIGHT_MASK,
@@ -13,6 +13,7 @@ from hapsran.metrics import (
     energy_saving,
     offloaded_fraction,
     sorted_saving_curves,
+    study_config_digest,
     write_figure2_csv,
     write_figure3_csv,
     write_figure45_csv,
@@ -192,3 +193,25 @@ class TestCsvWriters:
         f45 = (tmp_path / "f45.csv").read_text().splitlines()
         assert f45[0] == "trial,hour,offloaded_frac,utilization"
         assert len(f45) == 1 + len(results) * HOURS_PER_WEEK
+
+
+class TestConfigDigest:
+    def test_swapping_two_bs_rows_changes_digest(self, study_results):
+        study, _ = study_results
+        scenario = study.scenario
+        rates = np.array(scenario.rate_matrix)
+        caps = np.array([s.max_load * s.capacity for s in scenario.stats])
+        # two BSs whose weeks each fit under the other's cap
+        i, j = next(
+            (i, j)
+            for i in range(scenario.n_bs)
+            for j in range(i + 1, scenario.n_bs)
+            if rates[i].max() <= caps[j] and rates[j].max() <= caps[i]
+            and not np.array_equal(rates[i], rates[j])
+        )
+        rates[[i, j]] = rates[[j, i]]
+        swapped = TrafficScenario(rate_matrix=rates, stats=scenario.stats)
+        assert swapped.n_bs == scenario.n_bs
+        assert swapped.rate_matrix.sum() == scenario.rate_matrix.sum()
+        other = StudyConfig(**{**vars(study), "scenario": swapped})
+        assert study_config_digest(other) != study_config_digest(study)

@@ -125,10 +125,10 @@ class TestBaseline:
     def test_zero_traffic(self, energy):
         import hapsran.traffic as traffic
 
-        values = np.zeros(HOURS_PER_WEEK)
-        trace = traffic.WeeklyTrace(values)
         stats = traffic.BSStats(peak=0.0, p5=0.0, mean=0.0, capacity=10.0, max_load=1.0)
-        scenario = traffic.TrafficScenario(traces=(trace,) * 3, stats=(stats,) * 3)
+        scenario = traffic.TrafficScenario(
+            rate_matrix=np.zeros((3, HOURS_PER_WEEK)), stats=(stats,) * 3
+        )
         assert baseline_energy(scenario, energy) == pytest.approx(
             HOURS_PER_WEEK * 3 * energy.static_energy
         )

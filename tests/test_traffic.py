@@ -1,3 +1,9 @@
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from hapsran import (
     DegenerateTraceError,
     InvalidArgumentError,
     NoCandidateError,
+    TrafficScenario,
     WeeklyTrace,
     build_scenario,
     generate_base_traces,
@@ -179,6 +186,43 @@ class TestBuildScenario:
         np.testing.assert_array_equal(a.rate_matrix, b.rate_matrix)
         assert a.stats == b.stats
 
+    def test_traces_are_views_of_one_read_only_matrix(self, small_scenario):
+        assert not small_scenario.rate_matrix.flags.writeable
+        for trace in small_scenario.traces:
+            assert np.shares_memory(trace.values, small_scenario.rate_matrix)
+
+    def test_matches_per_target_oracle(self, small_scenario):
+        # same inputs as the small_scenario fixture: build_scenario(60, 40, seed=11)
+        base_matrix = np.stack([t.values for t in generate_base_traces(60, seed=11)])
+        peaks = base_matrix.max(axis=1)
+        p5s = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
+        usable = peaks > p5s
+        for i, target in enumerate(generate_target_stats(40, seed=11)):
+            a = (target.peak - target.p5) / np.where(usable, peaks - p5s, 1.0)
+            b = target.p5 - a * p5s
+            scaled = np.clip(a[:, None] * base_matrix + b[:, None], 0.0, None)
+            dev = np.where(usable, np.abs(scaled.mean(axis=1) - target.mean), np.inf)
+            np.testing.assert_array_equal(small_scenario.rate_matrix[i], scaled[np.argmin(dev)])
+
+
+class TestTrafficScenario:
+    @pytest.mark.parametrize("defect", ["rows", "hours", "nan", "negative", "over_cap"])
+    def test_bad_matrix_rejected(self, small_scenario, defect):
+        rates = np.array(small_scenario.rate_matrix)
+        stats = small_scenario.stats
+        if defect == "rows":
+            rates = rates[:-1]
+        elif defect == "hours":
+            rates = rates[:, :-1]
+        elif defect == "nan":
+            rates[3, 7] = np.nan
+        elif defect == "negative":
+            rates[3, 7] = -1e-6
+        else:
+            rates[3, 7] = stats[3].max_load * stats[3].capacity * 1.01
+        with pytest.raises(InvalidArgumentError):
+            TrafficScenario(rate_matrix=rates, stats=stats)
+
 
 class TestScenarioIO:
     def test_round_trip(self, small_scenario, tmp_path):
@@ -196,3 +240,73 @@ class TestScenarioIO:
             save_scenario(small_scenario, csv_path, stats_path)
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+    def test_csv_is_repr_rendering_of_matrix(self, small_scenario, tmp_path):
+        csv_path = tmp_path / "scenario.csv"
+        save_scenario(small_scenario, csv_path, tmp_path / "stats.json")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["bs_id", "hour", "rate_mbps"])
+        for i in range(small_scenario.n_bs):
+            for h in range(HOURS_PER_WEEK):
+                writer.writerow([i, h, repr(float(small_scenario.rate_matrix[i, h]))])
+        assert csv_path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def tiny_scenario_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    save_scenario(build_scenario(8, 3, seed=5), out / "scenario.csv", out / "stats.json")
+    lines = (out / "scenario.csv").read_text().splitlines(keepends=True)
+    return lines, (out / "stats.json").read_text()
+
+
+def _load_text(csv_text: str, stats_text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, stats_path = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+        csv_path.write_text(csv_text)
+        stats_path.write_text(stats_text)
+        return load_scenario(csv_path, stats_path)
+
+
+class TestLoadScenarioRejects:
+    @given(
+        rows=st.lists(st.integers(0, 3 * HOURS_PER_WEEK - 1), min_size=1, max_size=5, unique=True),
+        duplicate=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dropped_or_duplicated_rows(self, tiny_scenario_files, rows, duplicate):
+        lines, stats_text = tiny_scenario_files
+        header, body = lines[0], lines[1:]
+        if duplicate:
+            body = body + [body[r] for r in rows]
+        else:
+            body = [line for r, line in enumerate(body) if r not in rows]
+        with pytest.raises(InvalidArgumentError):
+            _load_text(header + "".join(body), stats_text)
+
+    @pytest.mark.parametrize(
+        "bad_row", ["3,0,1.0\n", "0,168,1.0\n", "-1,0,1.0\n", "0,0,abc\n", "0,x,1.0\n", "0,0\n"]
+    )
+    def test_bad_row(self, tiny_scenario_files, bad_row):
+        lines, stats_text = tiny_scenario_files
+        # replace the row for (0, 0), so only the bad row is wrong
+        with pytest.raises(InvalidArgumentError):
+            _load_text(lines[0] + bad_row + "".join(lines[2:]), stats_text)
+
+    @pytest.mark.parametrize("defect", ["n_bs", "missing_key", "unparsable_stat"])
+    def test_bad_sidecar(self, tiny_scenario_files, defect):
+        lines, stats_text = tiny_scenario_files
+        sidecar = json.loads(stats_text)
+        if defect == "n_bs":
+            sidecar["n_bs"] = 4
+        elif defect == "missing_key":
+            del sidecar["area_km2"]
+        else:
+            sidecar["stats"][1]["peak"] = "high"
+        with pytest.raises(InvalidArgumentError):
+            _load_text("".join(lines), json.dumps(sidecar))
+
+    def test_unchanged_files_load(self, tiny_scenario_files):
+        lines, stats_text = tiny_scenario_files
+        assert _load_text("".join(lines), stats_text).n_bs == 3
