@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -88,62 +89,58 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if path is not None:
         if not Path(path).is_file():
             raise InvalidArgumentError(f"config file not found: {path}")
-        parser.read(path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise InvalidArgumentError(f"malformed config file: {exc}") from exc
     for section in parser.sections():
         for key in parser[section]:
             env_key = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
             if env_key in os.environ:
-                parser[section][key] = os.environ[env_key]
+                try:
+                    parser[section][key] = os.environ[env_key]
+                except ValueError as exc:  # configparser rejects a stray '%'
+                    raise InvalidArgumentError(f"bad value in {env_key}: {exc}") from exc
     return parser
 
 
-def _energy_params(cfg: configparser.ConfigParser) -> EnergyParams:
-    sec = cfg["energy"]
-    return EnergyParams(
-        e0=sec.getfloat("e0"),
-        e_bb=sec.getfloat("e_bb"),
-        e_tran=sec.getfloat("e_tran"),
-        e_pa=sec.getfloat("e_pa"),
-        eta=sec.getfloat("eta"),
-        p_tx_w=sec.getfloat("p_tx_w"),
-        dt_s=sec.getfloat("dt_s"),
-    )
+def _value(sec: configparser.SectionProxy, key: str, parse=float):
+    """sec[key] parsed; a malformed value is a configuration error naming its key."""
+    try:
+        return parse(sec[key])
+    except (ValueError, configparser.Error) as exc:
+        env_key = f"{ENV_PREFIX}_{sec.name.upper()}_{key.upper()}"
+        raise InvalidArgumentError(f"bad [{sec.name}] {key} (or {env_key}): {exc}") from exc
 
 
-def _link_params(cfg: configparser.ConfigParser) -> LinkParams:
-    sec = cfg["link"]
-    return LinkParams(
-        p_tx_dbm=sec.getfloat("p_tx_dbm"),
-        g_element_dbi=sec.getfloat("g_element_dbi"),
-        n_rows=sec.getint("n_rows"),
-        m_cols=sec.getint("m_cols"),
-        g_rx_dbi=sec.getfloat("g_rx_dbi"),
-        f_c_ghz=sec.getfloat("f_c_ghz"),
-        haps_height_km=sec.getfloat("haps_height_km"),
-        noise_dbm=sec.getfloat("noise_dbm"),
-        bandwidth_hz=sec.getfloat("bandwidth_hz"),
-    )
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
-def _study_config(cfg: configparser.ConfigParser, scenario, tables, args) -> StudyConfig:
+def _params(cls, sec: configparser.SectionProxy):
+    """A parameter dataclass read from its section, each field parsed as its default's type."""
+    return cls(**{f.name: _value(sec, f.name, type(f.default)) for f in fields(cls)})
+
+
+def _study_config(args) -> StudyConfig:
+    cfg = load_config(args.config)
     sec = cfg["study"]
-    elevation_set = tuple(float(v) for v in sec["elevation_set"].split(","))
     return StudyConfig(
-        scenario=scenario,
-        tables=tables,
-        link=_link_params(cfg),
-        energy=_energy_params(cfg),
-        n_trials=args.trials if args.trials is not None else sec.getint("trials"),
-        master_seed=args.seed if args.seed is not None else sec.getint("master_seed"),
-        min_active_frac=cfg["offload"].getfloat("min_active_frac"),
-        elevation_set=elevation_set,
-        indoor_range=(sec.getfloat("indoor_min"), sec.getfloat("indoor_max")),
-        traditional_range=(sec.getfloat("traditional_min"), sec.getfloat("traditional_max")),
-        ue_density_per_km2=sec.getfloat("ue_density_per_km2"),
-        n_carriers=sec.getint("n_carriers"),
+        scenario=_load_scenario(args.scenario),
+        tables=load_channel_tables(args.channel_tables),
+        link=_params(LinkParams, cfg["link"]),
+        energy=_params(EnergyParams, cfg["energy"]),
+        n_trials=args.trials if args.trials is not None else _value(sec, "trials", int),
+        master_seed=args.seed if args.seed is not None else _value(sec, "master_seed", int),
+        min_active_frac=_value(cfg["offload"], "min_active_frac"),
+        elevation_set=_value(sec, "elevation_set", _float_list),
+        indoor_range=(_value(sec, "indoor_min"), _value(sec, "indoor_max")),
+        traditional_range=(_value(sec, "traditional_min"), _value(sec, "traditional_max")),
+        ue_density_per_km2=_value(sec, "ue_density_per_km2"),
+        n_carriers=_value(sec, "n_carriers", int),
         use_shadow_fading=not args.no_shadow_fading,
         use_building_entry_loss=not args.no_bel,
-        aggregation=sec["aggregation"],
+        aggregation=_value(sec, "aggregation", str),
         n_workers=getattr(args, "threads", 1),
     )
 
@@ -151,12 +148,11 @@ def _study_config(cfg: configparser.ConfigParser, scenario, tables, args) -> Stu
 def cmd_scenario(args) -> int:
     cfg = load_config(args.config)
     sec = cfg["scenario"]
-    seed = args.seed if args.seed is not None else sec.getint("seed")
     scenario = traffic.build_scenario(
-        n_bases=sec.getint("n_bases"),
-        m_targets=sec.getint("m_targets"),
-        seed=seed,
-        area_km2=sec.getfloat("area_km2"),
+        n_bases=_value(sec, "n_bases", int),
+        m_targets=_value(sec, "m_targets", int),
+        seed=args.seed if args.seed is not None else _value(sec, "seed", int),
+        area_km2=_value(sec, "area_km2"),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,10 +177,7 @@ def _load_scenario(scenario_dir: str):
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    scenario = _load_scenario(args.scenario)
-    tables = load_channel_tables(args.channel_tables)
-    study = _study_config(cfg, scenario, tables, args)
+    study = _study_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -192,7 +185,7 @@ def cmd_run(args) -> int:
     elapsed = time.perf_counter() - t0
     metrics.write_figure2_csv(out / "figure2.csv", results)
     metrics.write_figure3_csv(out / "figure3.csv", results)
-    metrics.write_figure45_csv(out / "figure45.csv", results, scenario)
+    metrics.write_figure45_csv(out / "figure45.csv", results, study.scenario)
     metrics.write_trials_csv(out / "trials.csv", results)
     created = datetime.datetime.now(datetime.timezone.utc).isoformat()
     metrics.write_manifest(out / "manifest.json", study, elapsed, created)
@@ -223,10 +216,7 @@ def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
 
 
 def cmd_trial(args) -> int:
-    cfg = load_config(args.config)
-    scenario = _load_scenario(args.scenario)
-    tables = load_channel_tables(args.channel_tables)
-    study = _study_config(cfg, scenario, tables, args)
+    study = _study_config(args)
     if args.elevation not in study.elevation_set:
         raise InvalidArgumentError(
             f"elevation {args.elevation} not in configured set {study.elevation_set}"
@@ -243,7 +233,7 @@ def cmd_trial(args) -> int:
         traditional_frac=args.traditional,
         rng_stream=(study.master_seed, 0, montecarlo._TRIAL_STREAM),
         ue_density_per_km2=study.ue_density_per_km2,
-        area_km2=scenario.area_km2,
+        area_km2=study.scenario.area_km2,
         n_carriers=study.n_carriers,
     )
     result = run_trial(study, trial_cfg)

@@ -11,9 +11,10 @@ thermally efficient buildings.  The per-UE combination of these terms is
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,6 +28,7 @@ _DEFAULT_TABLE_FILE = "channel_tables_s_band_dense_urban.json"
 # fixed pieces of the dual-lognormal entry-loss model
 _BEL_ELEVATION_SLOPE = 0.212  # dB per degree of path elevation
 _BEL_FLOOR_DB = -3.0
+_BEL_CLASSES = ("traditional", "thermally_efficient")  # the building classes the model uses
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class ChannelTables:
 
     def __post_init__(self):
         n = len(self.angles_deg)
+        if n == 0 or any(a >= b for a, b in zip(self.angles_deg, self.angles_deg[1:])):
+            raise InvalidArgumentError(f"angles_deg {self.angles_deg} is not strictly ascending")
         for name in ("los_prob", "sf_sigma_los", "sf_sigma_nlos", "clutter_los", "clutter_nlos"):
             if len(getattr(self, name)) != n:
                 raise InvalidArgumentError(f"{name} must have one entry per angle bucket")
@@ -69,19 +73,46 @@ class ChannelTables:
             raise InvalidArgumentError("shadow-fading sigma must be >= 0")
         if any(c < 0 for c in self.clutter_los + self.clutter_nlos):
             raise InvalidArgumentError("clutter loss must be >= 0")
-        for cls in ("traditional", "thermally_efficient"):
+        for cls in _BEL_CLASSES:
             if cls not in self.bel:
                 raise InvalidArgumentError(f"missing entry-loss coefficients for {cls!r}")
 
     def bucket_index(self, elevation_deg: float) -> int:
-        lo, hi = self.angles_deg[0], self.angles_deg[-1]
-        if not lo <= elevation_deg <= hi:
+        """Index of the nearest entry of angles_deg; halfway goes to the higher angle."""
+        angles = self.angles_deg
+        if not angles[0] <= elevation_deg <= angles[-1]:
             raise InvalidArgumentError(
-                f"elevation {elevation_deg} outside covered range [{lo}, {hi}]"
+                f"elevation {elevation_deg} outside covered range [{angles[0]}, {angles[-1]}]"
             )
-        # nearest 10-degree bucket, rounding halves up
-        idx = int(math.floor(elevation_deg / 10.0 + 0.5)) - 1
-        return min(max(idx, 0), len(self.angles_deg) - 1)
+        idx = bisect.bisect_left(angles, elevation_deg)  # first angle >= elevation
+        if idx > 0 and elevation_deg - angles[idx - 1] < angles[idx] - elevation_deg:
+            idx -= 1
+        return idx
+
+
+def _entry(doc, key: str):
+    """doc at a dotted key such as "sf_sigma.los"; an error names the first missing part."""
+    parts = key.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(doc, dict) or part not in doc:
+            raise InvalidArgumentError(f"channel tables: missing key {'.'.join(parts[:i + 1])!r}")
+        doc = doc[part]
+    return doc
+
+
+def _numbers(doc, key: str, many: bool = True):
+    """The list of finite numbers at a dotted key as a tuple, or with many=False one number."""
+    value = _entry(doc, key)
+    values = value if many else [value]
+    ok = isinstance(values, list) and all(type(v) in (int, float) for v in values)
+    if not (ok and all(map(math.isfinite, values))):
+        raise InvalidArgumentError(f"channel tables: {key!r} must hold finite numbers")
+    return tuple(values) if many else value
+
+
+def _bel(doc, cls: str) -> BelCoefficients:
+    names = (f.name for f in fields(BelCoefficients))
+    return BelCoefficients(**{n: _numbers(doc, f"bel.{cls}.{n}", many=False) for n in names})
 
 
 def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
@@ -92,15 +123,15 @@ def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
         raw = Path(path).read_text()
     doc = json.loads(raw)
     return ChannelTables(
-        environment=doc["environment"],
-        band=doc["band"],
-        angles_deg=tuple(doc["angles_deg"]),
-        los_prob=tuple(doc["los_prob"]),
-        sf_sigma_los=tuple(doc["sf_sigma"]["los"]),
-        sf_sigma_nlos=tuple(doc["sf_sigma"]["nlos"]),
-        clutter_los=tuple(doc["clutter"]["los"]),
-        clutter_nlos=tuple(doc["clutter"]["nlos"]),
-        bel={cls: BelCoefficients(**coeffs) for cls, coeffs in doc["bel"].items()},
+        environment=_entry(doc, "environment"),
+        band=_entry(doc, "band"),
+        angles_deg=_numbers(doc, "angles_deg"),
+        los_prob=_numbers(doc, "los_prob"),
+        sf_sigma_los=_numbers(doc, "sf_sigma.los"),
+        sf_sigma_nlos=_numbers(doc, "sf_sigma.nlos"),
+        clutter_los=_numbers(doc, "clutter.los"),
+        clutter_nlos=_numbers(doc, "clutter.nlos"),
+        bel={cls: _bel(doc, cls) for cls in _BEL_CLASSES},
     )
 
 

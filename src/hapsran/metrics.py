@@ -88,84 +88,72 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_figure2_csv(path: str | Path, results: list[TrialResult]) -> None:
-    curves = sorted_saving_curves(results, DEFAULT_MASKS)
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "week", "night", "weekday", "weekend"])
-        for rank in range(len(results)):
-            writer.writerow(
-                [rank]
-                + [_fmt(curves[name][rank]) for name in ("week", "night", "weekday", "weekend")]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _trial_cells(r: TrialResult) -> list:
+    """The leading columns shared by the per-trial CSVs."""
+    return [r.trial_idx, _fmt(r.elevation_deg), _fmt(r.indoor_frac), _fmt(r.traditional_frac)]
+
+
+def write_figure2_csv(path: str | Path, results: list[TrialResult]) -> None:
+    curves = sorted_saving_curves(results, DEFAULT_MASKS)
+    names = ["week", "night", "weekday", "weekend"]
+    rows = ([rank] + [_fmt(curves[n][rank]) for n in names] for rank in range(len(results)))
+    _write_csv(path, ["rank", *names], rows)
 
 
 def write_figure3_csv(path: str | Path, results: list[TrialResult]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "elevation", "indoor_frac", "traditional_frac", "saving"])
-        for r in results:
-            writer.writerow(
-                [
-                    r.trial_idx,
-                    _fmt(r.elevation_deg),
-                    _fmt(r.indoor_frac),
-                    _fmt(r.traditional_frac),
-                    _fmt(energy_saving(r, WEEK_MASK)),
-                ]
-            )
+    rows = (_trial_cells(r) + [_fmt(energy_saving(r, WEEK_MASK))] for r in results)
+    _write_csv(path, ["trial", "elevation", "indoor_frac", "traditional_frac", "saving"], rows)
 
 
 def write_figure45_csv(
     path: str | Path, results: list[TrialResult], scenario: TrafficScenario
 ) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "hour", "offloaded_frac", "utilization"])
-        for r in results:
-            for h in range(HOURS_PER_WEEK):
-                writer.writerow(
-                    [
-                        r.trial_idx,
-                        h,
-                        _fmt(offloaded_fraction(r, scenario, h)),
-                        _fmt(capacity_utilization(r, scenario, h)),
-                    ]
-                )
+    rows = (
+        [
+            r.trial_idx,
+            h,
+            _fmt(offloaded_fraction(r, scenario, h)),
+            _fmt(capacity_utilization(r, scenario, h)),
+        ]
+        for r in results
+        for h in range(HOURS_PER_WEEK)
+    )
+    _write_csv(path, ["trial", "hour", "offloaded_frac", "utilization"], rows)
 
 
 def write_trials_csv(path: str | Path, results: list[TrialResult]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "trial",
-                "elevation",
-                "indoor_frac",
-                "traditional_frac",
-                "c_haps_mbps",
-                "total_energy",
-                "baseline_energy",
-                "week_saving",
-                "night_saving",
-                "never_active_bs",
-            ]
-        )
-        for r in results:
-            writer.writerow(
-                [
-                    r.trial_idx,
-                    _fmt(r.elevation_deg),
-                    _fmt(r.indoor_frac),
-                    _fmt(r.traditional_frac),
-                    _fmt(r.c_haps_mbps),
-                    _fmt(r.total_energy),
-                    _fmt(r.baseline_energy),
-                    _fmt(energy_saving(r, WEEK_MASK)),
-                    _fmt(energy_saving(r, NIGHT_MASK)),
-                    r.never_active_bs_count,
-                ]
-            )
+    header = [
+        "trial",
+        "elevation",
+        "indoor_frac",
+        "traditional_frac",
+        "c_haps_mbps",
+        "total_energy",
+        "baseline_energy",
+        "week_saving",
+        "night_saving",
+        "never_active_bs",
+    ]
+    rows = (
+        _trial_cells(r)
+        + [
+            _fmt(r.c_haps_mbps),
+            _fmt(r.total_energy),
+            _fmt(r.baseline_energy),
+            _fmt(energy_saving(r, WEEK_MASK)),
+            _fmt(energy_saving(r, NIGHT_MASK)),
+            r.never_active_bs_count,
+        ]
+        for r in results
+    )
+    _write_csv(path, header, rows)
 
 
 def study_config_digest(study: StudyConfig) -> str:

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energymodel import EnergyParams, bs_energy, sleep_energy
-from .errors import (
-    InstanceTooLargeError,
-    InvalidArgumentError,
-    LoadExceedsCapacityError,
-)
-from .traffic import HOURS_PER_WEEK, TrafficScenario
+from .errors import InstanceTooLargeError, InvalidArgumentError
+from .traffic import TrafficScenario
 
 _ORACLE_MAX_N = 20
 
@@ -33,8 +29,8 @@ class OffloadConstraints:
     def __post_init__(self):
         if not 0 <= self.min_active_frac <= 1:
             raise InvalidArgumentError("min_active_frac must be in [0,1]")
-        if self.c_haps < 0:
-            raise InvalidArgumentError("c_haps must be >= 0")
+        if not self.c_haps >= 0:
+            raise InvalidArgumentError(f"c_haps must be >= 0, got {self.c_haps}")
 
     def max_offloadable(self, n: int) -> int:
         """Largest sleeper count that keeps ceil(min_active_frac*n) BSs active."""
@@ -61,61 +57,70 @@ class OffloadSchedule:
         return int((~self.active).all(axis=0).sum())
 
 
-def _check_instance(rates: np.ndarray, capacities: np.ndarray) -> None:
-    if rates.shape != capacities.shape or rates.ndim != 1 or rates.size == 0:
-        raise InvalidArgumentError("rates and capacities must be equal-length 1-D and non-empty")
-    if np.any(rates < 0) or np.any(capacities <= 0):
-        raise InvalidArgumentError("rates must be >= 0 and capacities > 0")
-    if np.any(rates > capacities * (1 + 1e-9)):
-        raise LoadExceedsCapacityError("an hourly rate exceeds its BS capacity")
+def _checked(rates: np.ndarray, capacities) -> np.ndarray:
+    """capacities as floats, after the shape and finiteness checks (bs_energy checks values)."""
+    capacities = np.asarray(capacities, dtype=float)
+    if rates.ndim != 2 or rates.size == 0 or capacities.shape != rates.shape[:1]:
+        raise InvalidArgumentError("rates must be a non-empty (N, T) matrix with capacities (N,)")
+    if not (np.isfinite(rates).all() and np.isfinite(capacities).all()):
+        raise InvalidArgumentError("rates and capacities must be finite")
+    return capacities
+
+
+def _one_hour(rates) -> np.ndarray:
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 1:
+        raise InvalidArgumentError(f"one hour of rates must be 1-D, got shape {rates.shape}")
+    return rates
+
+
+def _solve(rates, capacities, params: EnergyParams, cons: OffloadConstraints) -> OffloadSchedule:
+    """Greedy over every hour of an (N, T) rate matrix at once.
+
+    Per hour, BSs are ranked by rate (stable, so ties go to the lower index) and the k
+    lowest sleep: k is the smaller of the active-count limit and the longest prefix
+    whose summed rate fits in c_haps.
+    """
+    capacities = _checked(rates, capacities)
+    n, n_hours = rates.shape
+    order = np.argsort(rates.T, axis=1, kind="stable")
+    cum = np.take_along_axis(rates.T, order, axis=1)
+    np.cumsum(cum, axis=1, out=cum)  # cum[h, j] = summed rate of the j + 1 lowest BSs
+    k = np.minimum(cons.max_offloadable(n), (cum <= cons.c_haps).sum(axis=1))
+    active = np.empty((n_hours, n), dtype=bool)
+    np.put_along_axis(active, order, np.arange(n) >= k[:, None], axis=1)
+    offloaded_rate = np.where(k > 0, cum[np.arange(n_hours), k - 1], 0.0)
+    del order, cum  # free the (T, N) sort buffers before the energy matrix
+    active_energy = bs_energy(params, rates.T, capacities)
+    # sum each hour's compressed active energies: a masked 2-D sum rounds differently
+    awake = np.array([e[on].sum() for e, on in zip(active_energy, active)])
+    return OffloadSchedule(
+        active=active,
+        offloaded_rate=offloaded_rate,
+        offloaded_count=k,
+        energy_per_hour=awake + k * sleep_energy(params),
+    )
 
 
 def offload_hour(
     rates, capacities, params: EnergyParams, cons: OffloadConstraints
 ) -> tuple[np.ndarray, float, float, int]:
-    """Greedy single-hour solve.
+    """Greedy single-hour solve: the one-hour case of offload_week.
 
     Returns (active flags, hour energy, offloaded rate, offloaded count).
     Ties in rate are broken by ascending BS index; the scan stops at the
     first BS that would overshoot the HAPS capacity, since every later BS
     carries at least as much traffic.
     """
-    rates = np.asarray(rates, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    _check_instance(rates, capacities)
-    n = rates.size
-    order = np.argsort(rates, kind="stable")
-    cum = np.cumsum(rates[order])
-    k_count = cons.max_offloadable(n)
-    k_capacity = int(np.searchsorted(cum, cons.c_haps, side="right"))
-    k = min(k_count, k_capacity)
-    active = np.ones(n, dtype=bool)
-    active[order[:k]] = False
-    offloaded_rate = float(cum[k - 1]) if k > 0 else 0.0
-    energy = float(
-        bs_energy(params, rates[active], capacities[active]).sum() + k * sleep_energy(params)
-    )
-    return active, energy, offloaded_rate, k
+    s = _solve(_one_hour(rates)[:, None], capacities, params, cons)
+    return s.active[0], s.total_energy, float(s.offloaded_rate[0]), int(s.offloaded_count[0])
 
 
 def offload_week(
     scenario: TrafficScenario, params: EnergyParams, cons: OffloadConstraints
 ) -> OffloadSchedule:
     """Apply the greedy solve independently to each of the 168 hours."""
-    rates = scenario.rate_matrix  # (N, T)
-    capacities = scenario.capacities
-    n = scenario.n_bs
-    active = np.ones((HOURS_PER_WEEK, n), dtype=bool)
-    off_rate = np.zeros(HOURS_PER_WEEK)
-    off_count = np.zeros(HOURS_PER_WEEK, dtype=int)
-    energy = np.zeros(HOURS_PER_WEEK)
-    for h in range(HOURS_PER_WEEK):
-        active[h], energy[h], off_rate[h], off_count[h] = offload_hour(
-            rates[:, h], capacities, params, cons
-        )
-    return OffloadSchedule(
-        active=active, offloaded_rate=off_rate, offloaded_count=off_count, energy_per_hour=energy
-    )
+    return _solve(scenario.rate_matrix, scenario.capacities, params, cons)
 
 
 def baseline_energy_per_hour(scenario: TrafficScenario, params: EnergyParams) -> np.ndarray:
@@ -136,15 +141,13 @@ def exact_oracle_hour(
     Ties are broken by the lexicographically smallest active index set.
     Limited to N <= 20 (2^N enumeration).
     """
-    rates = np.asarray(rates, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    _check_instance(rates, capacities)
+    rates = _one_hour(rates)
+    per_bs = bs_energy(params, rates, _checked(rates[:, None], capacities))
     n = rates.size
     if n > _ORACLE_MAX_N:
         raise InstanceTooLargeError(f"oracle limited to N <= {_ORACLE_MAX_N}, got {n}")
     masks = np.arange(2**n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)  # True = active
-    per_bs = bs_energy(params, rates, capacities)
     active_count = bits.sum(axis=1)
     offloaded = (~bits) @ rates
     min_active = n - cons.max_offloadable(n)

@@ -189,12 +189,22 @@ def scale_trace(base: WeeklyTrace, target: BSStats) -> WeeklyTrace:
     can only touch values strictly below the target 5th percentile, so both
     matched statistics are exact.
     """
-    bp, bp5 = base.peak, base.p5
-    if bp <= bp5:
+    rows = base.values[None, :]
+    p5, span = np.array([base.p5]), np.array([base.peak - base.p5])
+    if span[0] <= 0:
         raise DegenerateTraceError("base trace is constant; cannot fit peak and p5")
-    a = (target.peak - target.p5) / (bp - bp5)
-    b = target.p5 - a * bp5
-    return WeeklyTrace(np.clip(a * base.values + b, 0.0, None))
+    return WeeklyTrace(_scale_rows(rows, p5, span, target, np.empty_like(rows))[0])
+
+
+def _scale_rows(
+    rows: np.ndarray, p5s: np.ndarray, spans: np.ndarray, target: BSStats, out: np.ndarray
+) -> np.ndarray:
+    """Map each row's (p5, p5 + span) affinely onto target's (p5, peak), clip at 0, into out."""
+    a = (target.peak - target.p5) / spans
+    b = target.p5 - a * p5s
+    np.multiply(a[:, None], rows, out=out)
+    out += b[:, None]
+    return np.clip(out, 0.0, None, out=out)
 
 
 def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray:
@@ -207,15 +217,11 @@ def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray
     usable = peaks > p5s
     if not np.any(usable):
         raise NoCandidateError("all candidate base traces are degenerate")
-    spans = np.where(usable, peaks - p5s, 1.0)
+    spans = np.where(usable, peaks - p5s, 1.0)  # degenerate rows are masked out below
     scaled = np.empty_like(base_matrix)
     out = np.empty((len(targets), HOURS_PER_WEEK))
     for i, target in enumerate(targets):
-        a = np.where(usable, (target.peak - target.p5) / spans, np.nan)
-        b = target.p5 - a * p5s
-        np.multiply(a[:, None], base_matrix, out=scaled)
-        scaled += b[:, None]
-        np.clip(scaled, 0.0, None, out=scaled)
+        _scale_rows(base_matrix, p5s, spans, target, scaled)
         dev = np.abs(scaled.mean(axis=1) - target.mean)
         dev[~usable] = np.inf
         out[i] = scaled[np.argmin(dev)]  # argmin keeps the lowest index on ties

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -200,3 +201,43 @@ class TestEnvOverrides:
         assert main(["scenario", "--config", config_file, "--out", str(out)]) == 0
         sidecar = json.loads((out / "scenario_stats.json").read_text())
         assert sidecar["n_bs"] == 7
+
+
+class TestMalformedInputsExit2:
+    def run(self, config_file, scenario_dir, tmp_path, *extra):
+        argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                "--out", str(tmp_path / "o"), "--trials", "1", *extra]
+        return main(argv)
+
+    @pytest.mark.parametrize("key", ["bel", "los_prob"])
+    def test_channel_tables(self, config_file, scenario_dir, tmp_path, capsys, key):
+        bundled = resources.files("hapsran.data") / "channel_tables_s_band_dense_urban.json"
+        doc = json.loads(bundled.read_text())
+        if key == "bel":
+            del doc["bel"]  # a missing key
+        else:
+            doc["los_prob"][0] = "0.3"  # a non-numeric entry
+        custom = tmp_path / "tables.json"
+        custom.write_text(json.dumps(doc))
+        assert self.run(config_file, scenario_dir, tmp_path, "--channel-tables", str(custom)) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_env_value(self, config_file, scenario_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HAPSRAN_ENERGY_ETA", "abc")
+        assert self.run(config_file, scenario_dir, tmp_path) == 2
+        assert "HAPSRAN_ENERGY_ETA" in capsys.readouterr().err
+
+    def test_env_stray_percent(self, config_file, scenario_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("HAPSRAN_ENERGY_ETA", "5%")
+        assert self.run(config_file, scenario_dir, tmp_path) == 2
+
+    def test_config_list_entry(self, scenario_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SMALL_CONFIG + "elevation_set = 60,x\n")
+        assert self.run(str(cfg), scenario_dir, tmp_path) == 2
+        assert "elevation_set" in capsys.readouterr().err
+
+    def test_config_without_section_header(self, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("n_bases = 30\n")
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

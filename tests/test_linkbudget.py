@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from hapsran import (
@@ -81,6 +84,50 @@ class TestLosProbability:
     def test_out_of_range(self, tables):
         with pytest.raises(InvalidArgumentError):
             los_probability(tables, 5)
+
+
+def on_grid(tables, angles):
+    n = len(angles)
+    return dataclasses.replace(
+        tables, angles_deg=tuple(angles), los_prob=(0.5,) * n, sf_sigma_los=(1.0,) * n,
+        sf_sigma_nlos=(1.0,) * n, clutter_los=(0.0,) * n, clutter_nlos=(1.0,) * n,
+    )
+
+
+class TestBucketIndex:
+    def test_bundled_grid_keeps_its_buckets(self, tables):
+        assert tables.angles_deg == (10, 20, 30, 40, 50, 60, 70, 80, 90)
+        for e in range(10, 91):
+            assert tables.bucket_index(e) == min(max(math.floor(e / 10 + 0.5) - 1, 0), 8)
+
+    def test_custom_grid(self, tables):
+        grid = on_grid(tables, [15, 25, 35, 45, 55, 65, 75, 85, 90])
+        assert grid.bucket_index(15) == 0
+        assert grid.bucket_index(87.5) == 8  # halfway between 85 and 90 goes up
+
+    # half-degree grids make every midpoint exact, so ties are really ties
+    @given(
+        st.lists(st.integers(0, 180), min_size=1, max_size=12, unique=True),
+        st.integers(0, 180),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_angle_ties_go_up(self, tables, halves, pick, midpoint):
+        angles = sorted(h / 2 for h in halves)
+        if midpoint and len(angles) > 1:
+            i = pick % (len(angles) - 1)
+            e = (angles[i] + angles[i + 1]) / 2
+        else:
+            e = angles[0] + (angles[-1] - angles[0]) * pick / 180
+        idx = on_grid(tables, angles).bucket_index(e)
+        dist = [abs(e - a) for a in angles]
+        assert dist[idx] == min(dist)
+        assert idx == max(j for j, d in enumerate(dist) if d == dist[idx])
+
+    @pytest.mark.parametrize("angles", [[90, 80, 70], [10, 20, 20, 30], []])
+    def test_unordered_grid_rejected(self, tables, angles):
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            on_grid(tables, angles)
 
 
 class TestBuildingEntryLoss:
@@ -178,6 +225,19 @@ class TestSnrAndRate:
         assert ue_rate_bps(link, -200.0) == pytest.approx(0.0, abs=1e-3)
 
 
+def table_doc(tables):
+    """The JSON document load_channel_tables reads, as fresh nested lists and dicts."""
+    return {
+        "environment": tables.environment,
+        "band": tables.band,
+        "angles_deg": list(tables.angles_deg),
+        "los_prob": list(tables.los_prob),
+        "sf_sigma": {"los": list(tables.sf_sigma_los), "nlos": list(tables.sf_sigma_nlos)},
+        "clutter": {"los": list(tables.clutter_los), "nlos": list(tables.clutter_nlos)},
+        "bel": {cls: dict(vars(c)) for cls, c in tables.bel.items()},
+    }
+
+
 class TestTables:
     def test_custom_file_round_trip(self, tables, tmp_path):
         doc = {
@@ -193,6 +253,37 @@ class TestTables:
         path.write_text(json.dumps(doc))
         loaded = load_channel_tables(path)
         assert loaded == tables
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("bel", lambda d: d.pop("bel")),
+            ("sf_sigma.nlos", lambda d: d["sf_sigma"].pop("nlos")),
+            ("bel.traditional.r", lambda d: d["bel"]["traditional"].pop("r")),
+            ("los_prob", lambda d: d["los_prob"].__setitem__(2, "high")),
+            ("clutter.los", lambda d: d["clutter"].__setitem__("los", 0.0)),
+            ("clutter.nlos", lambda d: d["clutter"]["nlos"].__setitem__(0, math.nan)),
+            ("bel.thermally_efficient.w", lambda d: d["bel"]["thermally_efficient"].update(w=None)),
+            ("angles_deg", lambda d: d["angles_deg"].__setitem__(0, True)),
+            ("bel.traditional", lambda d: d.update(bel=5)),
+            ("bel.thermally_efficient", lambda d: d["bel"].pop("thermally_efficient")),
+        ],
+    )
+    def test_malformed_file_names_key(self, tables, tmp_path, key, edit):
+        doc = table_doc(tables)
+        edit(doc)
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidArgumentError, match=f"'{key}'"):
+            load_channel_tables(path)
+
+    def test_reversed_angles_rejected(self, tables, tmp_path):
+        doc = table_doc(tables)
+        doc["angles_deg"].reverse()
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidArgumentError, match="strictly ascending"):
+            load_channel_tables(path)
 
     def test_bad_probability_rejected(self, tables, tmp_path):
         doc = json.loads(

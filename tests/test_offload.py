@@ -15,9 +15,37 @@ from hapsran import (
     exact_oracle_hour,
     offload_hour,
     offload_week,
+    sleep_energy,
 )
 from hapsran.offload import baseline_energy_per_hour
-from hapsran.traffic import HOURS_PER_WEEK
+from hapsran.traffic import HOURS_PER_WEEK, BSStats, TrafficScenario, percentile_nearest_rank
+
+
+def reference_hour(rates, caps, params, cons):
+    """One hour solved on its own: stable sort, prefix sums, searchsorted."""
+    order = np.argsort(rates, kind="stable")
+    cum = np.cumsum(rates[order])
+    k = min(cons.max_offloadable(rates.size), int(np.searchsorted(cum, cons.c_haps, side="right")))
+    active = np.ones(rates.size, dtype=bool)
+    active[order[:k]] = False
+    off_rate = float(cum[k - 1]) if k > 0 else 0.0
+    energy = float(bs_energy(params, rates[active], caps[active]).sum() + k * sleep_energy(params))
+    return active, energy, off_rate, k
+
+
+def scenario_from(rates):
+    """A TrafficScenario around an (N, 168) matrix, each BS loaded to at most half capacity."""
+    stats = tuple(
+        BSStats(
+            peak=row.max(),
+            p5=percentile_nearest_rank(row, 0.05),
+            mean=min(max(row.mean(), percentile_nearest_rank(row, 0.05)), row.max()),
+            capacity=2 * row.max() + 1,
+            max_load=1.0,
+        )
+        for row in rates
+    )
+    return TrafficScenario(rate_matrix=rates, stats=stats)
 
 
 class TestOffloadHour:
@@ -65,6 +93,23 @@ class TestOffloadHour:
     def test_length_mismatch(self, energy):
         with pytest.raises(InvalidArgumentError):
             offload_hour([1.0], [1.0, 2.0], energy, OffloadConstraints(c_haps=1.0))
+
+    def test_two_dimensional_rates_rejected(self, energy):
+        with pytest.raises(InvalidArgumentError):
+            offload_hour(np.ones((3, 2)), np.full(3, 10.0), energy, OffloadConstraints(c_haps=1.0))
+
+    @pytest.mark.parametrize("solver", [offload_hour, exact_oracle_hour])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["rates", "capacities"])
+    def test_non_finite_rejected(self, energy, solver, bad, where):
+        rates, caps = np.array([1.0, 2.0, 3.0]), np.full(3, 10.0)
+        (rates if where == "rates" else caps)[0] = bad
+        with pytest.raises(InvalidArgumentError):
+            solver(rates, caps, energy, OffloadConstraints(min_active_frac=0.0, c_haps=2.0))
+
+    def test_nan_c_haps_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            OffloadConstraints(c_haps=math.nan)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -119,6 +164,46 @@ class TestOffloadWeek:
             cons = OffloadConstraints(min_active_frac=0.4, c_haps=c_haps)
             energies.append(offload_week(small_scenario, energy, cons).total_energy)
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
+
+
+class TestOneSolver:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        levels=st.integers(1, 6),
+        c_mode=st.sampled_from(["zero", "prefix", "random", "inf"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_week_equals_hour_by_hour_reference(self, energy, seed, n, levels, c_mode):
+        # few distinct levels (zero included) force ties within and across hours
+        rng = np.random.default_rng(seed)
+        rates = rng.integers(0, levels, (n, HOURS_PER_WEEK)) * rng.choice([0.5, 1.25, 3.0])
+        if rng.random() < 0.5:
+            rates = rates + rng.uniform(0, 1, (n, HOURS_PER_WEEK)) * (rates > 0)
+        scenario = scenario_from(rates)
+        h0 = int(rng.integers(HOURS_PER_WEEK))
+        c_haps = {
+            "zero": 0.0,
+            # exactly a prefix sum of one hour, so the <= boundary is hit
+            "prefix": float(np.cumsum(np.sort(rates[:, h0]))[rng.integers(n)]),
+            "random": float(rng.uniform(0, rates.sum(axis=0).max() + 1)),
+            "inf": math.inf,
+        }[c_mode]
+        cons = OffloadConstraints(min_active_frac=float(rng.choice([0.0, 0.4, rng.random()])),
+                                  c_haps=c_haps)
+        schedule = offload_week(scenario, energy, cons)
+        caps = scenario.capacities
+        for h in range(HOURS_PER_WEEK):
+            expected = reference_hour(rates[:, h], caps, energy, cons)
+            np.testing.assert_array_equal(schedule.active[h], expected[0])
+            assert schedule.energy_per_hour[h] == expected[1]
+            assert schedule.offloaded_rate[h] == expected[2]
+            assert schedule.offloaded_count[h] == expected[3]
+        active, e, off_rate, k = offload_hour(rates[:, h0], caps, energy, cons)
+        np.testing.assert_array_equal(active, schedule.active[h0])
+        assert (e, off_rate, k) == (
+            schedule.energy_per_hour[h0], schedule.offloaded_rate[h0], schedule.offloaded_count[h0]
+        )
 
 
 class TestBaseline:

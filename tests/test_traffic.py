@@ -204,6 +204,13 @@ class TestBuildScenario:
             dev = np.where(usable, np.abs(scaled.mean(axis=1) - target.mean), np.inf)
             np.testing.assert_array_equal(small_scenario.rate_matrix[i], scaled[np.argmin(dev)])
 
+    def test_rows_are_scale_trace_outputs(self, small_scenario):
+        # build_scenario and scale_trace share one scaling kernel, bit for bit
+        bases = generate_base_traces(60, seed=11)
+        usable = [b for b in bases if b.peak > b.p5]
+        for row, target in zip(small_scenario.rate_matrix, generate_target_stats(40, seed=11)):
+            assert any(np.array_equal(row, scale_trace(b, target).values) for b in usable)
+
 
 class TestTrafficScenario:
     @pytest.mark.parametrize("defect", ["rows", "hours", "nan", "negative", "over_cap"])
