@@ -4,31 +4,32 @@ Exit codes: 0 success, 2 configuration/validation problem, 3 I/O failure,
 4 unexpected runtime failure.  All defaults reproduce the reference setup,
 so a bare ``hapsran run`` after ``hapsran scenario`` runs the default study.
 Settings come from an INI-style config file and can be overridden per key
-with environment variables of the form HAPSRAN_<SECTION>_<KEY>.
+with environment variables of the form HAPSRAN_<SECTION>_<KEY>.  A setting
+left unset keeps the default of the dataclass or function it feeds
+(EnergyParams, LinkParams, StudyConfig, build_scenario); only the
+[scenario] counts and seed are the CLI's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import datetime
 import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics, montecarlo, traffic
+from . import metrics, traffic
 from .energymodel import EnergyParams, bs_energy, sleep_energy
 from .errors import HapsRanError, InvalidArgumentError
-from .hapscapacity import TrialConfig
 from .linkbudget import LinkParams, load_channel_tables
 from .metrics import DEFAULT_MASKS, energy_saving
-from .montecarlo import StudyConfig, run_study, run_trial
+from .montecarlo import StudyConfig, run_study, run_trial, sample_trial_config
 from .offload import OffloadConstraints, offload_week
 
 EXIT_OK = 0
@@ -38,54 +39,48 @@ EXIT_RUNTIME = 4
 
 ENV_PREFIX = "HAPSRAN"
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "scenario": {
-        "n_bases": "1419",
-        "m_targets": "960",
-        "seed": "42",
-        "area_km2": "30",
-    },
-    "energy": {
-        "e0": "0.2",
-        "e_bb": "0.15",
-        "e_tran": "0.15",
-        "e_pa": "0.2",
-        "eta": "0.3",
-        "p_tx_w": "0.3",
-        "dt_s": "1.0",
-    },
-    "link": {
-        "p_tx_dbm": "43",
-        "g_element_dbi": "8",
-        "n_rows": "1",
-        "m_cols": "4",
-        "g_rx_dbi": "0",
-        "f_c_ghz": "2",
-        "haps_height_km": "20",
-        "noise_dbm": "-100.96",
-        "bandwidth_hz": "20e6",
-    },
+# the CLI's own defaults; every other unset setting keeps the default of what it feeds
+_SCENARIO_DEFAULTS = {"n_bases": 1419, "m_targets": 960, "seed": 42}
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# section -> key -> parser: every setting a config file or environment variable may set
+SCHEMA: dict[str, dict] = {
+    "scenario": {"n_bases": int, "m_targets": int, "seed": int, "area_km2": float},
+    "energy": {f.name: type(f.default) for f in fields(EnergyParams)},
+    "link": {f.name: type(f.default) for f in fields(LinkParams)},
     "study": {
-        "trials": "1000",
-        "master_seed": "0",
-        "elevation_set": "60,70,80,90",
-        "indoor_min": "0.6",
-        "indoor_max": "0.9",
-        "traditional_min": "0.3",
-        "traditional_max": "0.7",
-        "ue_density_per_km2": "3000",
-        "n_carriers": "6",
-        "aggregation": "mean",
+        "trials": int,
+        "master_seed": int,
+        "elevation_set": _float_list,
+        "indoor_min": float,
+        "indoor_max": float,
+        "traditional_min": float,
+        "traditional_max": float,
+        "ue_density_per_km2": float,
+        "n_carriers": int,
+        "aggregation": str,
     },
-    "offload": {
-        "min_active_frac": "0.4",
-    },
+    "offload": {"min_active_frac": float},
 }
 
 
-def load_config(path: str | None) -> configparser.ConfigParser:
+def _env_key(section: str, key: str) -> str:
+    return f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
+
+
+def load_config(path: str | None) -> dict[str, dict]:
+    """The settings that the config file and environment set, parsed, per SCHEMA section.
+
+    Unset keys are absent.  A section, key or HAPSRAN_* variable that SCHEMA does
+    not name is a configuration error, so a misspelt setting cannot fall back to
+    its default unnoticed.
+    """
     parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
+    parser.read_dict({section: {} for section in SCHEMA})
     if path is not None:
         if not Path(path).is_file():
             raise InvalidArgumentError(f"config file not found: {path}")
@@ -93,67 +88,76 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             parser.read(path)
         except configparser.Error as exc:
             raise InvalidArgumentError(f"malformed config file: {exc}") from exc
+    if parser.defaults():
+        raise InvalidArgumentError(f"unknown config key in [DEFAULT]: {', '.join(parser.defaults())}")
     for section in parser.sections():
-        for key in parser[section]:
-            env_key = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
-            if env_key in os.environ:
-                try:
-                    parser[section][key] = os.environ[env_key]
-                except ValueError as exc:  # configparser rejects a stray '%'
-                    raise InvalidArgumentError(f"bad value in {env_key}: {exc}") from exc
-    return parser
+        if section not in SCHEMA:
+            raise InvalidArgumentError(f"unknown config section [{section}]")
+        unknown = [key for key in parser[section] if key not in SCHEMA[section]]
+        if unknown:
+            raise InvalidArgumentError(f"unknown config key in [{section}]: {', '.join(unknown)}")
+    env_keys = {_env_key(sec, key): (sec, key) for sec, keys in SCHEMA.items() for key in keys}
+    for env_key in sorted(k for k in os.environ if k.startswith(ENV_PREFIX + "_")):
+        if env_key not in env_keys:
+            raise InvalidArgumentError(
+                f"unknown environment variable {env_key}: it names no {ENV_PREFIX}_<SECTION>_<KEY>"
+            )
+        section, key = env_keys[env_key]
+        try:
+            parser[section][key] = os.environ[env_key]
+        except ValueError as exc:  # configparser rejects a stray '%'
+            raise InvalidArgumentError(f"bad value in {env_key}: {exc}") from exc
+    return {
+        section: {
+            key: _value(parser[section], key, parse)
+            for key, parse in keys.items()
+            if key in parser[section]
+        }
+        for section, keys in SCHEMA.items()
+    }
 
 
-def _value(sec: configparser.SectionProxy, key: str, parse=float):
+def _value(sec: configparser.SectionProxy, key: str, parse):
     """sec[key] parsed; a malformed value is a configuration error naming its key."""
     try:
         return parse(sec[key])
     except (ValueError, configparser.Error) as exc:
-        env_key = f"{ENV_PREFIX}_{sec.name.upper()}_{key.upper()}"
-        raise InvalidArgumentError(f"bad [{sec.name}] {key} (or {env_key}): {exc}") from exc
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _params(cls, sec: configparser.SectionProxy):
-    """A parameter dataclass read from its section, each field parsed as its default's type."""
-    return cls(**{f.name: _value(sec, f.name, type(f.default)) for f in fields(cls)})
+        raise InvalidArgumentError(
+            f"bad [{sec.name}] {key} (or {_env_key(sec.name, key)}): {exc}"
+        ) from exc
 
 
 def _study_config(args) -> StudyConfig:
     cfg = load_config(args.config)
-    sec = cfg["study"]
+    # [study] and [offload] keys are StudyConfig field names, except that trials sets
+    # n_trials and <name>_min / <name>_max set the two ends of <name>_range
+    settings = {**cfg["study"], **cfg["offload"]}
+    if "trials" in settings:
+        settings["n_trials"] = settings.pop("trials")
+    for name in ("indoor", "traditional"):
+        lo, hi = getattr(StudyConfig, f"{name}_range")  # the field's default
+        settings[f"{name}_range"] = (settings.pop(f"{name}_min", lo), settings.pop(f"{name}_max", hi))
+    if args.trials is not None:
+        settings["n_trials"] = args.trials
+    if args.seed is not None:
+        settings["master_seed"] = args.seed
     return StudyConfig(
         scenario=_load_scenario(args.scenario),
         tables=load_channel_tables(args.channel_tables),
-        link=_params(LinkParams, cfg["link"]),
-        energy=_params(EnergyParams, cfg["energy"]),
-        n_trials=args.trials if args.trials is not None else _value(sec, "trials", int),
-        master_seed=args.seed if args.seed is not None else _value(sec, "master_seed", int),
-        min_active_frac=_value(cfg["offload"], "min_active_frac"),
-        elevation_set=_value(sec, "elevation_set", _float_list),
-        indoor_range=(_value(sec, "indoor_min"), _value(sec, "indoor_max")),
-        traditional_range=(_value(sec, "traditional_min"), _value(sec, "traditional_max")),
-        ue_density_per_km2=_value(sec, "ue_density_per_km2"),
-        n_carriers=_value(sec, "n_carriers", int),
+        link=LinkParams(**cfg["link"]),
+        energy=EnergyParams(**cfg["energy"]),
         use_shadow_fading=not args.no_shadow_fading,
         use_building_entry_loss=not args.no_bel,
-        aggregation=_value(sec, "aggregation", str),
         n_workers=getattr(args, "threads", 1),
+        **settings,
     )
 
 
 def cmd_scenario(args) -> int:
-    cfg = load_config(args.config)
-    sec = cfg["scenario"]
-    scenario = traffic.build_scenario(
-        n_bases=_value(sec, "n_bases", int),
-        m_targets=_value(sec, "m_targets", int),
-        seed=args.seed if args.seed is not None else _value(sec, "seed", int),
-        area_km2=_value(sec, "area_km2"),
-    )
+    settings = {**_SCENARIO_DEFAULTS, **load_config(args.config)["scenario"]}
+    if args.seed is not None:
+        settings["seed"] = args.seed
+    scenario = traffic.build_scenario(**settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     traffic.save_scenario(scenario, out / "scenario.csv", out / "scenario_stats.json")
@@ -207,12 +211,12 @@ def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
     rates = study.scenario.rate_matrix.T  # (T, N)
     active_energy = bs_energy(study.energy, rates, study.scenario.capacities)
     energy = np.where(schedule.active, active_energy, sleep_energy(study.energy))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "bs_id", "active", "energy"])
-        for h in range(schedule.active.shape[0]):
-            for i in range(schedule.active.shape[1]):
-                writer.writerow([h, i, int(schedule.active[h, i]), repr(float(energy[h, i]))])
+    rows = (
+        [h, i, int(on), metrics._fmt(e)]
+        for h, (active_row, energy_row) in enumerate(zip(schedule.active, energy))
+        for i, (on, e) in enumerate(zip(active_row, energy_row))
+    )
+    metrics._write_csv(path, ["hour", "bs_id", "active", "energy"], rows)
 
 
 def cmd_trial(args) -> int:
@@ -227,14 +231,11 @@ def cmd_trial(args) -> int:
     lo, hi = study.traditional_range
     if not lo <= args.traditional <= hi:
         raise InvalidArgumentError(f"traditional share {args.traditional} outside ({lo}, {hi})")
-    trial_cfg = TrialConfig(
+    trial_cfg = replace(
+        sample_trial_config(study, 0),
         elevation_deg=args.elevation,
         indoor_frac=args.indoor,
         traditional_frac=args.traditional,
-        rng_stream=(study.master_seed, 0, montecarlo._TRIAL_STREAM),
-        ue_density_per_km2=study.ue_density_per_km2,
-        area_km2=study.scenario.area_km2,
-        n_carriers=study.n_carriers,
     )
     result = run_trial(study, trial_cfg)
     print(f"c_haps: {result.c_haps_mbps:.2f} Mbps")

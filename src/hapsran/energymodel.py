@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import scalar_or_array
 from .errors import InvalidArgumentError, LoadExceedsCapacityError
 
 
@@ -55,7 +56,7 @@ def bs_energy(params: EnergyParams, rate, capacity):
     if np.any(rate > capacity * (1 + 1e-9)):
         raise LoadExceedsCapacityError("rate exceeds BS capacity")
     out = params.static_energy + params.full_load_dynamic * (rate / capacity)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def sleep_energy(params: EnergyParams) -> float:

@@ -26,7 +26,7 @@ from .linkbudget import (
     ue_rate_bps,
 )
 
-AGGREGATIONS = ("mean", "median", "p5")
+AGGREGATIONS = ("mean", "median", "p5")  # the first is the default
 
 SeedLike = int | tuple[int, ...]
 
@@ -39,9 +39,9 @@ class TrialConfig:
     indoor_frac: float
     traditional_frac: float
     rng_stream: SeedLike
-    ue_density_per_km2: float = 3000.0
-    area_km2: float = 30.0
-    n_carriers: int = 6
+    ue_density_per_km2: float
+    area_km2: float
+    n_carriers: int
 
     def __post_init__(self):
         if not 0 <= self.indoor_frac <= 1 or not 0 <= self.traditional_frac <= 1:
@@ -148,7 +148,7 @@ def aggregate_capacity(
     pop: UEPopulation,
     use_shadow_fading: bool = True,
     use_building_entry_loss: bool = True,
-    aggregation: str = "mean",
+    aggregation: str = AGGREGATIONS[0],
 ) -> float:
     """Condense per-UE rates into the HAPS capacity in Mbps.
 

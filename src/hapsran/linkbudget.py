@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
+from ._numeric import scalar_or_array
 from .errors import InvalidArgumentError
 
 _DEFAULT_TABLE_FILE = "channel_tables_s_band_dense_urban.json"
@@ -206,18 +207,18 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
     a = mu1 + sigma1 * z
     b = mu2 + sigma2 * z
     out = 10 * np.log10(10 ** (0.1 * a) + 10 ** (0.1 * b) + 10 ** (0.1 * _BEL_FLOOR_DB))
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def snr_db(params: LinkParams, pl_db) -> float:
     """Received SNR in dB for a given total path loss."""
     gain = tx_array_gain_dbi(params.g_element_dbi, params.n_rows, params.m_cols)
     out = params.p_tx_dbm + gain + params.g_rx_dbi - np.asarray(pl_db, dtype=float) - params.noise_dbm
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def ue_rate_bps(params: LinkParams, snr_db):
     """Shannon rate over the configured channel bandwidth."""
     snr_lin = 10 ** (np.asarray(snr_db, dtype=float) / 10)
     out = params.bandwidth_hz * np.log2(1 + snr_lin)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)

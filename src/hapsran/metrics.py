@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -157,26 +157,19 @@ def write_trials_csv(path: str | Path, results: list[TrialResult]) -> None:
 
 
 def study_config_digest(study: StudyConfig) -> str:
-    """Stable hash of every study input: settings, channel tables and the full scenario."""
-    doc = {
-        "n_trials": study.n_trials,
-        "master_seed": study.master_seed,
-        "min_active_frac": study.min_active_frac,
-        "elevation_set": list(study.elevation_set),
-        "indoor_range": list(study.indoor_range),
-        "traditional_range": list(study.traditional_range),
-        "ue_density_per_km2": study.ue_density_per_km2,
-        "n_carriers": study.n_carriers,
-        "use_shadow_fading": study.use_shadow_fading,
-        "use_building_entry_loss": study.use_building_entry_loss,
-        "aggregation": study.aggregation,
-        "link": repr(study.link),
-        "energy": repr(study.energy),
-        "tables": repr(study.tables),
-        "scenario_rates_sha256": hashlib.sha256(study.scenario.rate_matrix.tobytes()).hexdigest(),
-        "scenario_stats": repr(study.scenario.stats),
-        "scenario_area_km2": repr(study.scenario.area_km2),
-    }
+    """Stable hash of every study input: settings, channel tables and the full scenario.
+
+    Every StudyConfig field is hashed by name, so a new setting cannot be left out;
+    the scenario is hashed through the entries below, and the worker count cannot
+    change a result.
+    """
+    skip = ("scenario", "n_workers")
+    doc = {f.name: getattr(study, f.name) for f in fields(study) if f.name not in skip}
+    doc.update(
+        scenario_rates_sha256=hashlib.sha256(study.scenario.rate_matrix.tobytes()).hexdigest(),
+        scenario_stats=repr(study.scenario.stats),
+        scenario_area_km2=repr(study.scenario.area_km2),
+    )
     blob = json.dumps(doc, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
 

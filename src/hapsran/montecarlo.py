@@ -16,7 +16,7 @@ import numpy as np
 
 from .energymodel import EnergyParams
 from .errors import InvalidArgumentError
-from .hapscapacity import TrialConfig, aggregate_capacity, sample_ue_population
+from .hapscapacity import AGGREGATIONS, TrialConfig, aggregate_capacity, sample_ue_population
 from .linkbudget import ChannelTables, LinkParams
 from .offload import OffloadConstraints, baseline_energy_per_hour, offload_week
 from .traffic import TrafficScenario
@@ -34,7 +34,7 @@ class StudyConfig:
     energy: EnergyParams = field(default_factory=EnergyParams)
     n_trials: int = 1000
     master_seed: int = 0
-    min_active_frac: float = 0.4
+    min_active_frac: float = OffloadConstraints.min_active_frac
     elevation_set: tuple[float, ...] = (60.0, 70.0, 80.0, 90.0)
     indoor_range: tuple[float, float] = (0.6, 0.9)
     traditional_range: tuple[float, float] = (0.3, 0.7)
@@ -42,7 +42,7 @@ class StudyConfig:
     n_carriers: int = 6
     use_shadow_fading: bool = True
     use_building_entry_loss: bool = True
-    aggregation: str = "mean"
+    aggregation: str = AGGREGATIONS[0]
     n_workers: int = 1
 
     def __post_init__(self):

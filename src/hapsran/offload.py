@@ -125,8 +125,7 @@ def offload_week(
 
 def baseline_energy_per_hour(scenario: TrafficScenario, params: EnergyParams) -> np.ndarray:
     """Per-hour energy with every BS active (no offloading)."""
-    loads = scenario.rate_matrix / scenario.capacities[:, None]
-    return (params.static_energy + params.full_load_dynamic * loads).sum(axis=0)
+    return bs_energy(params, scenario.rate_matrix, scenario.capacities[:, None]).sum(axis=0)
 
 
 def baseline_energy(scenario: TrafficScenario, params: EnergyParams) -> float:

@@ -239,7 +239,7 @@ def build_scenario(
     n_bases: int,
     m_targets: int,
     seed: int,
-    area_km2: float = 30.0,
+    area_km2: float = TrafficScenario.area_km2,
     **stats_kwargs,
 ) -> TrafficScenario:
     """Generate bases and targets, then match one scaled trace per target."""

@@ -10,8 +10,10 @@ import pytest
 from hapsran import (
     EnergyParams,
     OffloadConstraints,
+    StudyConfig,
     load_channel_tables,
     load_scenario,
+    metrics,
     offload_week,
 )
 from hapsran.cli import main
@@ -203,6 +205,20 @@ class TestEnvOverrides:
         assert sidecar["n_bs"] == 7
 
 
+class TestDefaults:
+    def test_unset_settings_take_library_defaults(self, scenario_dir, tmp_path):
+        cfg = tmp_path / "bare.ini"
+        cfg.write_text("[scenario]\nn_bases = 30\nm_targets = 20\nseed = 9\n\n[study]\ntrials = 2\n")
+        argv = ["run", "--config", str(cfg), "--scenario", scenario_dir,
+                "--out", str(tmp_path / "o"), "--seed", "3"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        base = Path(scenario_dir)
+        scenario = load_scenario(base / "scenario.csv", base / "scenario_stats.json")
+        study = StudyConfig(scenario, load_channel_tables(), n_trials=2, master_seed=3)
+        assert manifest["config_sha256"] == metrics.study_config_digest(study)
+
+
 class TestMalformedInputsExit2:
     def run(self, config_file, scenario_dir, tmp_path, *extra):
         argv = ["run", "--config", config_file, "--scenario", scenario_dir,
@@ -230,6 +246,25 @@ class TestMalformedInputsExit2:
     def test_env_stray_percent(self, config_file, scenario_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HAPSRAN_ENERGY_ETA", "5%")
         assert self.run(config_file, scenario_dir, tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "extra, env_key, names",
+        [
+            ("[offload]\nmin_active_fracton = 0.9\n", None, ["[offload]", "min_active_fracton"]),
+            ("[ofload]\nmin_active_frac = 0.9\n", None, ["[ofload]"]),
+            ("[DEFAULT]\nmin_active_frac = 0.9\n", None, ["[DEFAULT]", "min_active_frac"]),
+            ("", "HAPSRAN_OFFLOAD_MIN_ACTIVE_FRACTON", ["HAPSRAN_OFFLOAD_MIN_ACTIVE_FRACTON"]),
+        ],
+        ids=["key", "section", "default-section", "env"],
+    )
+    def test_unknown_setting(self, scenario_dir, tmp_path, capsys, monkeypatch, extra, env_key, names):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(SMALL_CONFIG + extra)
+        if env_key is not None:
+            monkeypatch.setenv(env_key, "0.9")
+        assert self.run(str(cfg), scenario_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
 
     def test_config_list_entry(self, scenario_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
