@@ -27,6 +27,9 @@ from .linkbudget import (
 )
 
 AGGREGATIONS = ("mean", "median", "p5")  # the first is the default
+# both impairments are modelled unless a debugging run switches them off
+SHADOW_FADING = True
+BUILDING_ENTRY_LOSS = True
 
 SeedLike = int | tuple[int, ...]
 
@@ -82,19 +85,18 @@ def sample_ue_population(cfg: TrialConfig, tables: ChannelTables) -> UEPopulatio
     n = math.ceil(cfg.ue_density_per_km2 * cfg.area_km2)
     pop_ss, sf_ss, bel_ss = _seed_sequence(cfg.rng_stream).spawn(3)
     rng = np.random.default_rng(pop_ss)
-    u_los = rng.random(n)
-    u_indoor = rng.random(n)
-    u_trad = rng.random(n)
+    # each uniform is thresholded as soon as it is drawn, so only its flags stay alive
+    los = rng.random(n) < los_probability(tables, cfg.elevation_deg)
+    indoor = rng.random(n) < cfg.indoor_frac
+    traditional = rng.random(n) < cfg.traditional_frac
     sf = np.random.default_rng(sf_ss).standard_normal(n)
     bel_p = np.random.default_rng(bel_ss).random(n)
-    bel_p = np.clip(bel_p, 1e-12, 1 - 1e-12)  # keep draws in the open interval
-    p_los = los_probability(tables, cfg.elevation_deg)
-    indoor = u_indoor < cfg.indoor_frac
+    np.clip(bel_p, 1e-12, 1 - 1e-12, out=bel_p)  # keep draws in the open interval
     return UEPopulation(
         elevation_deg=cfg.elevation_deg,
-        los=u_los < p_los,
+        los=los,
         indoor=indoor,
-        traditional=u_trad < cfg.traditional_frac,
+        traditional=traditional,
         sf_draw=sf,
         bel_p=bel_p,
     )
@@ -104,19 +106,18 @@ def path_loss_db(
     params: LinkParams,
     tables: ChannelTables,
     pop: UEPopulation,
-    use_shadow_fading: bool = True,
-    use_building_entry_loss: bool = True,
+    use_shadow_fading: bool = SHADOW_FADING,
+    use_building_entry_loss: bool = BUILDING_ENTRY_LOSS,
 ) -> np.ndarray:
     """Per-UE total path loss in dB: FSPL over the slant range, the elevation
     bucket's clutter and shadow fading per LOS state, and entry loss indoors."""
     idx = tables.bucket_index(pop.elevation_deg)
     d = slant_range_km(params.haps_height_km, pop.elevation_deg)
     pl = np.full(len(pop), fspl_db(d, params.f_c_ghz))
-    sigma = np.where(pop.los, tables.sf_sigma_los[idx], tables.sf_sigma_nlos[idx])
-    clutter = np.where(pop.los, tables.clutter_los[idx], tables.clutter_nlos[idx])
-    pl += clutter
+    # per-UE terms are added as they are made, so none outlives its use
+    pl += np.where(pop.los, tables.clutter_los[idx], tables.clutter_nlos[idx])
     if use_shadow_fading:
-        pl += pop.sf_draw * sigma
+        pl += pop.sf_draw * np.where(pop.los, tables.sf_sigma_los[idx], tables.sf_sigma_nlos[idx])
     if use_building_entry_loss and np.any(pop.indoor):
         for cls, mask in (
             ("traditional", pop.indoor & pop.traditional),
@@ -133,8 +134,8 @@ def ue_rates_mbps(
     params: LinkParams,
     tables: ChannelTables,
     pop: UEPopulation,
-    use_shadow_fading: bool = True,
-    use_building_entry_loss: bool = True,
+    use_shadow_fading: bool = SHADOW_FADING,
+    use_building_entry_loss: bool = BUILDING_ENTRY_LOSS,
 ) -> np.ndarray:
     """Vectorized per-UE achievable rate in Mbps."""
     pl = path_loss_db(params, tables, pop, use_shadow_fading, use_building_entry_loss)
@@ -146,8 +147,8 @@ def aggregate_capacity(
     params: LinkParams,
     tables: ChannelTables,
     pop: UEPopulation,
-    use_shadow_fading: bool = True,
-    use_building_entry_loss: bool = True,
+    use_shadow_fading: bool = SHADOW_FADING,
+    use_building_entry_loss: bool = BUILDING_ENTRY_LOSS,
     aggregation: str = AGGREGATIONS[0],
 ) -> float:
     """Condense per-UE rates into the HAPS capacity in Mbps.

@@ -204,10 +204,11 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
     sigma1 = coeffs.u + coeffs.v * lf
     sigma2 = coeffs.y + coeffs.z * lf
     z = ndtri(p)
-    a = mu1 + sigma1 * z
-    b = mu2 + sigma2 * z
-    out = 10 * np.log10(10 ** (0.1 * a) + 10 ** (0.1 * b) + 10 ** (0.1 * _BEL_FLOOR_DB))
-    return scalar_or_array(out)
+    # summed in place, left to right: the order of the additions fixes the rounding
+    power = 10 ** (0.1 * (mu1 + sigma1 * z))
+    power += 10 ** (0.1 * (mu2 + sigma2 * z))
+    power += 10 ** (0.1 * _BEL_FLOOR_DB)
+    return scalar_or_array(10 * np.log10(power))
 
 
 def snr_db(params: LinkParams, pl_db) -> float:

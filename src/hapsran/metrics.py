@@ -59,7 +59,7 @@ def energy_saving(result: TrialResult, mask: PeriodMask) -> float:
 
 def offloaded_fraction(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
     """Share of the hour's total demand carried by the HAPS."""
-    total = float(scenario.rate_matrix[:, hour].sum())
+    total = float(scenario.hourly_demand[hour])
     if total <= 0:
         raise UndefinedMetricError(f"zero traffic demand at hour {hour}")
     return float(result.offloaded_rate_per_hour[hour]) / total
@@ -70,7 +70,7 @@ def capacity_utilization(result: TrialResult, scenario: TrafficScenario, hour: i
     denom = result.c_haps_mbps + float(result.active_capacity_per_hour[hour])
     if denom <= 0:
         raise UndefinedMetricError(f"zero available capacity at hour {hour}")
-    return float(scenario.rate_matrix[:, hour].sum()) / denom
+    return float(scenario.hourly_demand[hour]) / denom
 
 
 def sorted_saving_curves(

@@ -16,7 +16,14 @@ import numpy as np
 
 from .energymodel import EnergyParams
 from .errors import InvalidArgumentError
-from .hapscapacity import AGGREGATIONS, TrialConfig, aggregate_capacity, sample_ue_population
+from .hapscapacity import (
+    AGGREGATIONS,
+    BUILDING_ENTRY_LOSS,
+    SHADOW_FADING,
+    TrialConfig,
+    aggregate_capacity,
+    sample_ue_population,
+)
 from .linkbudget import ChannelTables, LinkParams
 from .offload import OffloadConstraints, baseline_energy_per_hour, offload_week
 from .traffic import TrafficScenario
@@ -40,8 +47,8 @@ class StudyConfig:
     traditional_range: tuple[float, float] = (0.3, 0.7)
     ue_density_per_km2: float = 3000.0
     n_carriers: int = 6
-    use_shadow_fading: bool = True
-    use_building_entry_loss: bool = True
+    use_shadow_fading: bool = SHADOW_FADING
+    use_building_entry_loss: bool = BUILDING_ENTRY_LOSS
     aggregation: str = AGGREGATIONS[0]
     n_workers: int = 1
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .energymodel import EnergyParams, bs_energy, sleep_energy
 from .errors import InstanceTooLargeError, InvalidArgumentError
-from .traffic import TrafficScenario
+from .traffic import HourOrder, TrafficScenario, sort_hours
 
 _ORACLE_MAX_N = 20
 
@@ -74,23 +74,20 @@ def _one_hour(rates) -> np.ndarray:
     return rates
 
 
-def _solve(rates, capacities, params: EnergyParams, cons: OffloadConstraints) -> OffloadSchedule:
-    """Greedy over every hour of an (N, T) rate matrix at once.
+def _solve(
+    rates, capacities, order: HourOrder, params: EnergyParams, cons: OffloadConstraints
+) -> OffloadSchedule:
+    """Greedy over every hour of an (N, T) rate matrix at once, given its hour order.
 
-    Per hour, BSs are ranked by rate (stable, so ties go to the lower index) and the k
-    lowest sleep: k is the smaller of the active-count limit and the longest prefix
-    whose summed rate fits in c_haps.
+    Per hour, the k lowest-ranked BSs sleep: k is the smaller of the active-count
+    limit and the longest prefix of the order whose summed rate fits in c_haps.
     """
     capacities = _checked(rates, capacities)
     n, n_hours = rates.shape
-    order = np.argsort(rates.T, axis=1, kind="stable")
-    cum = np.take_along_axis(rates.T, order, axis=1)
-    np.cumsum(cum, axis=1, out=cum)  # cum[h, j] = summed rate of the j + 1 lowest BSs
+    cum = order.cum_rate
     k = np.minimum(cons.max_offloadable(n), (cum <= cons.c_haps).sum(axis=1))
-    active = np.empty((n_hours, n), dtype=bool)
-    np.put_along_axis(active, order, np.arange(n) >= k[:, None], axis=1)
+    active = order.rank >= k[:, None]
     offloaded_rate = np.where(k > 0, cum[np.arange(n_hours), k - 1], 0.0)
-    del order, cum  # free the (T, N) sort buffers before the energy matrix
     active_energy = bs_energy(params, rates.T, capacities)
     # sum each hour's compressed active energies: a masked 2-D sum rounds differently
     awake = np.array([e[on].sum() for e, on in zip(active_energy, active)])
@@ -112,15 +109,17 @@ def offload_hour(
     first BS that would overshoot the HAPS capacity, since every later BS
     carries at least as much traffic.
     """
-    s = _solve(_one_hour(rates)[:, None], capacities, params, cons)
+    rates = _one_hour(rates)[:, None]
+    s = _solve(rates, capacities, sort_hours(rates), params, cons)
     return s.active[0], s.total_energy, float(s.offloaded_rate[0]), int(s.offloaded_count[0])
 
 
 def offload_week(
     scenario: TrafficScenario, params: EnergyParams, cons: OffloadConstraints
 ) -> OffloadSchedule:
-    """Apply the greedy solve independently to each of the 168 hours."""
-    return _solve(scenario.rate_matrix, scenario.capacities, params, cons)
+    """Apply the greedy solve independently to each of the 168 hours, in the
+    scenario's cached hour order."""
+    return _solve(scenario.rate_matrix, scenario.capacities, scenario.hour_order, params, cons)
 
 
 def baseline_energy_per_hour(scenario: TrafficScenario, params: EnergyParams) -> np.ndarray:

@@ -12,7 +12,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +91,26 @@ class BSStats:
             raise InvalidArgumentError("peak exceeds max_load * capacity")
 
 
+class HourOrder(NamedTuple):
+    """Each hour's stable ascending rate order, as two read-only (T, N) arrays."""
+
+    rank: np.ndarray  # int32: rank[h, i] is BS i's position in hour h's order
+    cum_rate: np.ndarray  # cum_rate[h, j]: summed rate of the j + 1 lowest BSs of hour h
+
+
+def sort_hours(rate_matrix: np.ndarray) -> HourOrder:
+    """Rank the BSs of every hour of an (N, T) rate matrix (ties go to the lower index)."""
+    by_hour = rate_matrix.T
+    order = np.argsort(by_hour, axis=1, kind="stable")
+    cum_rate = np.take_along_axis(by_hour, order, axis=1)
+    np.cumsum(cum_rate, axis=1, out=cum_rate)
+    rank = np.empty(order.shape, dtype=np.int32)
+    np.put_along_axis(rank, order, np.arange(order.shape[1], dtype=np.int32), axis=1)
+    rank.flags.writeable = False
+    cum_rate.flags.writeable = False
+    return HourOrder(rank, cum_rate)
+
+
 @dataclass(frozen=True, eq=False)
 class TrafficScenario:
     """N matched weekly traces as one read-only (N, 168) rate matrix, with per-BS stats."""
@@ -123,6 +145,22 @@ class TrafficScenario:
     def traces(self) -> tuple[WeeklyTrace, ...]:
         """One WeeklyTrace per BS, each a view of its rate_matrix row."""
         return tuple(WeeklyTrace(row) for row in self.rate_matrix)
+
+    @cached_property
+    def hour_order(self) -> HourOrder:
+        """The trial-independent sort of every hour, built on first use."""
+        return sort_hours(self.rate_matrix)
+
+    @cached_property
+    def hourly_demand(self) -> np.ndarray:
+        """(168,) summed rate of each hour.
+
+        Each is its own column's sum: rate_matrix.sum(axis=0) adds in another order
+        and can round differently.
+        """
+        demand = np.array([column.sum() for column in self.rate_matrix.T])
+        demand.flags.writeable = False
+        return demand
 
 
 def _diurnal_profile(rng: np.random.Generator) -> np.ndarray:

@@ -15,6 +15,7 @@ from hapsran import (
     load_scenario,
     metrics,
     offload_week,
+    traffic,
 )
 from hapsran.cli import main
 
@@ -60,6 +61,14 @@ class TestScenarioCommand:
         assert main(["scenario", "--config", config_file, "--out", str(tmp_path)]) == 0
         for name in ("scenario.csv", "scenario_stats.json"):
             assert (tmp_path / name).read_bytes() == (Path(scenario_dir) / name).read_bytes()
+
+    def test_never_sorts_hours(self, config_file, tmp_path, monkeypatch):
+        # the hour order serves the trials only; building a scenario must not pay for it
+        def fail(rate_matrix):
+            raise AssertionError("hapsran scenario sorted the hours")
+
+        monkeypatch.setattr(traffic, "sort_hours", fail)
+        assert main(["scenario", "--config", config_file, "--out", str(tmp_path)]) == 0
 
     def test_invalid_targets_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hapsran import (
     InvalidArgumentError,
     StudyConfig,
+    TrafficScenario,
     run_study,
     run_trial,
     sample_trial_config,
@@ -91,6 +93,25 @@ class TestRunStudy:
             assert a.c_haps_mbps == b.c_haps_mbps
             np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
             np.testing.assert_array_equal(a.offloaded_rate_per_hour, b.offloaded_rate_per_hour)
+
+    def test_workers_share_a_fresh_scenario(self, study):
+        # a fresh scenario's hour order is built by whichever worker needs it first
+        seq = run_study(study)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                fresh = TrafficScenario(
+                    rate_matrix=study.scenario.rate_matrix, stats=study.scenario.stats
+                )
+                par = run_study(dataclasses.replace(study, scenario=fresh, n_workers=8))
+                for a, b in zip(seq, par, strict=True):
+                    np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+                    np.testing.assert_array_equal(
+                        a.offloaded_count_per_hour, b.offloaded_count_per_hour
+                    )
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_trial_independence(self, study):
         # results do not depend on which other trials are run

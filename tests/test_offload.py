@@ -205,6 +205,66 @@ class TestOneSolver:
             schedule.energy_per_hour[h0], schedule.offloaded_rate[h0], schedule.offloaded_count[h0]
         )
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        levels=st.integers(1, 6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_cached_order_reused_across_capacities(self, energy, seed, n, levels):
+        # one scenario solved at several capacities in a row, as the trials of a study do
+        rng = np.random.default_rng(seed)
+        rates = rng.integers(0, levels, (n, HOURS_PER_WEEK)) * rng.choice([0.5, 1.25, 3.0])
+        scenario = scenario_from(rates)
+        prefixes = np.cumsum(np.sort(rates, axis=0), axis=0)
+        c_values = [0.0, *rng.choice(prefixes.ravel(), 3), float(rng.uniform(0, prefixes[-1].max())),
+                    math.inf, 0.0]
+        caps = scenario.capacities
+        order = scenario.hour_order
+        for c_haps in c_values:
+            cons = OffloadConstraints(min_active_frac=0.4, c_haps=float(c_haps))
+            schedule = offload_week(scenario, energy, cons)
+            assert scenario.hour_order is order
+            for h in range(HOURS_PER_WEEK):
+                active, e, off_rate, k = reference_hour(rates[:, h], caps, energy, cons)
+                np.testing.assert_array_equal(schedule.active[h], active)
+                assert schedule.energy_per_hour[h] == e
+                assert schedule.offloaded_rate[h] == off_rate
+                assert schedule.offloaded_count[h] == k
+
+
+class TestScenarioCaches:
+    def test_hour_order_built_once_and_read_only(self, small_scenario):
+        order = small_scenario.hour_order
+        assert small_scenario.hour_order is order
+        assert order.rank.dtype == np.int32
+        assert order.rank.shape == order.cum_rate.shape == (HOURS_PER_WEEK, small_scenario.n_bs)
+        for array in order:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+    def test_hour_order_is_the_stable_sort(self, small_scenario):
+        rates = small_scenario.rate_matrix
+        order = small_scenario.hour_order
+        for h in (0, 50, 167):
+            ascending = np.argsort(rates[:, h], kind="stable")
+            np.testing.assert_array_equal(order.rank[h, ascending], np.arange(small_scenario.n_bs))
+            np.testing.assert_array_equal(order.cum_rate[h], np.cumsum(rates[ascending, h]))
+
+    def test_hourly_demand_is_each_column_sum(self, small_scenario):
+        demand = small_scenario.hourly_demand
+        assert small_scenario.hourly_demand is demand
+        assert not demand.flags.writeable
+        expected = [small_scenario.rate_matrix[:, h].sum() for h in range(HOURS_PER_WEEK)]
+        assert demand.tolist() == [float(x) for x in expected]
+
+    def test_a_new_scenario_has_its_own_caches(self, small_scenario):
+        twin = TrafficScenario(rate_matrix=small_scenario.rate_matrix, stats=small_scenario.stats)
+        assert "hour_order" not in vars(twin)
+        assert twin.hour_order is not small_scenario.hour_order
+        np.testing.assert_array_equal(twin.hour_order.rank, small_scenario.hour_order.rank)
+
 
 class TestBaseline:
     def test_zero_traffic(self, energy):
