@@ -60,6 +60,8 @@ class StudyConfig:
                 raise InvalidArgumentError("ranges must be well-ordered within [0,1]")
         if not self.elevation_set:
             raise InvalidArgumentError("elevation_set must be non-empty")
+        if self.n_workers < 1:
+            raise InvalidArgumentError(f"n_workers must be >= 1, got {self.n_workers}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,5 @@ def run_study(study: StudyConfig) -> list[TrialResult]:
     def one(idx: int) -> TrialResult:
         return run_trial(study, sample_trial_config(study, idx), trial_idx=idx)
 
-    indices = range(study.n_trials)
-    if study.n_workers <= 1:
-        return [one(i) for i in indices]
     with ThreadPoolExecutor(max_workers=study.n_workers) as pool:
-        return list(pool.map(one, indices))
+        return list(pool.map(one, range(study.n_trials)))

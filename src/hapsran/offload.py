@@ -57,21 +57,16 @@ class OffloadSchedule:
         return int((~self.active).all(axis=0).sum())
 
 
-def _checked(rates: np.ndarray, capacities) -> np.ndarray:
-    """capacities as floats, after the shape and finiteness checks (bs_energy checks values)."""
+def _hour_inputs(rates, capacities) -> tuple[np.ndarray, np.ndarray]:
+    """One hour's rates and capacities as non-empty, equal-length, finite 1-D float arrays."""
+    rates = np.asarray(rates, dtype=float)
     capacities = np.asarray(capacities, dtype=float)
-    if rates.ndim != 2 or rates.size == 0 or capacities.shape != rates.shape[:1]:
-        raise InvalidArgumentError("rates must be a non-empty (N, T) matrix with capacities (N,)")
+    if rates.ndim != 1 or rates.size == 0 or capacities.shape != rates.shape:
+        shapes = f"{rates.shape} and {capacities.shape}"
+        raise InvalidArgumentError(f"need 1-D rates and capacities of one length > 0, got {shapes}")
     if not (np.isfinite(rates).all() and np.isfinite(capacities).all()):
         raise InvalidArgumentError("rates and capacities must be finite")
-    return capacities
-
-
-def _one_hour(rates) -> np.ndarray:
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1:
-        raise InvalidArgumentError(f"one hour of rates must be 1-D, got shape {rates.shape}")
-    return rates
+    return rates, capacities
 
 
 def _solve(
@@ -81,8 +76,8 @@ def _solve(
 
     Per hour, the k lowest-ranked BSs sleep: k is the smaller of the active-count
     limit and the longest prefix of the order whose summed rate fits in c_haps.
+    The inputs are trusted: a TrafficScenario or _hour_inputs has checked them.
     """
-    capacities = _checked(rates, capacities)
     n, n_hours = rates.shape
     cum = order.cum_rate
     k = np.minimum(cons.max_offloadable(n), (cum <= cons.c_haps).sum(axis=1))
@@ -109,7 +104,8 @@ def offload_hour(
     first BS that would overshoot the HAPS capacity, since every later BS
     carries at least as much traffic.
     """
-    rates = _one_hour(rates)[:, None]
+    rates, capacities = _hour_inputs(rates, capacities)
+    rates = rates[:, None]
     s = _solve(rates, capacities, sort_hours(rates), params, cons)
     return s.active[0], s.total_energy, float(s.offloaded_rate[0]), int(s.offloaded_count[0])
 
@@ -139,8 +135,8 @@ def exact_oracle_hour(
     Ties are broken by the lexicographically smallest active index set.
     Limited to N <= 20 (2^N enumeration).
     """
-    rates = _one_hour(rates)
-    per_bs = bs_energy(params, rates, _checked(rates[:, None], capacities))
+    rates, capacities = _hour_inputs(rates, capacities)
+    per_bs = bs_energy(params, rates, capacities)
     n = rates.size
     if n > _ORACLE_MAX_N:
         raise InstanceTooLargeError(f"oracle limited to N <= {_ORACLE_MAX_N}, got {n}")

@@ -8,10 +8,13 @@ BS trace reproduces a target peak and 5th-percentile hourly volume.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -27,7 +30,12 @@ DAYS_PER_WEEK = 7
 # nearest-rank index of the 5th percentile over 168 hourly samples
 _P5_RANK = math.ceil(0.05 * HOURS_PER_WEEK) - 1
 
-_CSV_HEADER = ["bs_id", "hour", "rate_mbps"]
+# scenario.csv's columns, in order, with the type each holds
+_CSV_ROW = np.dtype([("bs_id", np.int64), ("hour", np.int64), ("rate_mbps", np.float64)])
+# scenario.csv is read in blocks of whole lines of about this size, so that the loader's
+# buffers stay small next to the rate matrix: freeing a larger one raises glibc's mmap
+# threshold, and with it the resident memory of every trial that follows
+_BLOCK_BYTES = 1 << 16
 
 
 def percentile_nearest_rank(values: np.ndarray, fraction: float) -> float:
@@ -85,8 +93,9 @@ class BSStats:
             )
         if not (0 < self.max_load <= 1):
             raise InvalidArgumentError(f"max_load must be in (0,1], got {self.max_load}")
-        if self.capacity <= 0:
-            raise InvalidArgumentError("capacity must be positive")
+        # with a finite capacity, the checks around this one bound every other field too
+        if not 0 < self.capacity < math.inf:
+            raise InvalidArgumentError(f"capacity must be finite and positive, got {self.capacity}")
         if self.peak > self.max_load * self.capacity * (1 + 1e-9):
             raise InvalidArgumentError("peak exceeds max_load * capacity")
 
@@ -121,6 +130,9 @@ class TrafficScenario:
     capacities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        area = self.area_km2
+        if isinstance(area, bool) or not isinstance(area, numbers.Real) or not 0 < area < math.inf:
+            raise InvalidArgumentError(f"area_km2 must be a finite positive number, got {area!r}")
         rates = np.array(self.rate_matrix, dtype=float)
         stats = tuple(self.stats)
         if rates.shape != (len(stats), HOURS_PER_WEEK) or not stats:
@@ -292,28 +304,67 @@ def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: s
     csv_path, stats_path = Path(csv_path), Path(stats_path)
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
+        writer.writerow(_CSV_ROW.names)
         for i, row in enumerate(scenario.rate_matrix.tolist()):
             writer.writerows([i, h, repr(rate)] for h, rate in enumerate(row))
     sidecar = {
         "area_km2": scenario.area_km2,
         "n_bs": scenario.n_bs,
-        "stats": [
-            {
-                "peak": s.peak,
-                "p5": s.p5,
-                "mean": s.mean,
-                "capacity": s.capacity,
-                "max_load": s.max_load,
-            }
-            for s in scenario.stats
-        ],
+        "stats": [asdict(s) for s in scenario.stats],
     }
     stats_path.write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+def _rows(text: bytes) -> np.ndarray:
+    """text's CSV lines as _CSV_ROW rows; np.loadtxt skips blank lines (and warns if all are)."""
+    if not text or text.isspace():
+        return np.empty(0, _CSV_ROW)
+    return np.loadtxt(io.BytesIO(text), dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+
+
+def _parse_block(block: bytes, csv_path, line: int) -> np.ndarray:
+    """One _CSV_ROW row per line of block, whose first line is line `line` of csv_path."""
+    with contextlib.suppress(ValueError):
+        rows = _rows(block)
+        if len(rows) == block.count(b"\n") + (not block.endswith(b"\n")):
+            return rows
+    # a line is blank or bad; np.loadtxt rejects a bad line on its own as well
+    for k, text in enumerate(block.removesuffix(b"\n").split(b"\n")):
+        with contextlib.suppress(ValueError):
+            if len(_rows(text)) == 1:
+                continue
+        raise InvalidArgumentError(f"{csv_path}:{line + k}: bad row {text.strip().decode('latin-1')!r}")
+    raise InvalidArgumentError(f"{csv_path}:{line}: unparsable rows")
+
+
+def _read_rates(csv_path: str | Path, n_bs: int) -> np.ndarray:
+    """The (n_bs, 168) rates of save_scenario's CSV, after checking every line of it."""
+    n_rows = n_bs * HOURS_PER_WEEK
+    rates = np.empty(n_rows)
+    done = 0
+    with Path(csv_path).open("rb") as fh:
+        header = fh.readline().rstrip(b"\r\n")
+        if header != ",".join(_CSV_ROW.names).encode():
+            raise InvalidArgumentError(f"{csv_path}:1: unexpected header {header!r}")
+        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+            rows = _parse_block(block, csv_path, line=done + 2)
+            r = np.arange(done, done + len(rows))
+            misplaced = (rows["bs_id"] != r // HOURS_PER_WEEK) | (rows["hour"] != r % HOURS_PER_WEEK)
+            misplaced |= r >= n_rows
+            if misplaced.any():
+                done += int(misplaced.argmax())
+                break
+            rates[done : done + len(rows)] = rows["rate_mbps"]
+            done += len(rows)
+        else:  # every row in its place: the file must also hold all of them
+            if done == n_rows:
+                return rates.reshape(n_bs, HOURS_PER_WEEK)
+    want = f"row {divmod(done, HOURS_PER_WEEK)}" if done < n_rows else "no more rows"
+    raise InvalidArgumentError(f"{csv_path}:{done + 2}: expected {want} (rows run in bs_id, hour order)")
+
+
 def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenario:
-    """Read save_scenario's files, requiring one valid row per (bs_id, hour) of n_bs BSs."""
+    """Read save_scenario's files: the n_bs * 168 rows in the (bs_id, hour) order it writes."""
     sidecar = json.loads(Path(stats_path).read_text())
     try:
         stats = tuple(BSStats(**entry) for entry in sidecar["stats"])
@@ -322,26 +373,4 @@ def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenar
             raise InvalidArgumentError(f"sidecar n_bs {sidecar['n_bs']!r} != {n_bs} stats")
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed scenario sidecar {stats_path}: {exc!r}") from exc
-    rates = np.zeros((n_bs, HOURS_PER_WEEK))
-    seen = np.zeros((n_bs, HOURS_PER_WEEK), dtype=bool)
-    with Path(csv_path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise InvalidArgumentError(f"unexpected scenario CSV header: {header}")
-        for row in reader:
-            try:
-                bs_id, hour, rate = row
-                i, h, value = int(bs_id), int(hour), float(rate)
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{csv_path}:{reader.line_num}: bad row {row}") from exc
-            if not (0 <= i < n_bs and 0 <= h < HOURS_PER_WEEK) or seen[i, h]:
-                raise InvalidArgumentError(
-                    f"{csv_path}:{reader.line_num}: row ({i}, {h}) out of range or repeated"
-                )
-            seen[i, h] = True
-            rates[i, h] = value
-    if not seen.all():
-        i, h = np.argwhere(~seen)[0]
-        raise InvalidArgumentError(f"{csv_path}: no row for (bs_id, hour) ({i}, {h})")
-    return TrafficScenario(rate_matrix=rates, stats=stats, area_km2=area_km2)
+    return TrafficScenario(rate_matrix=_read_rates(csv_path, n_bs), stats=stats, area_km2=area_km2)

@@ -281,6 +281,27 @@ class TestMalformedInputsExit2:
         assert self.run(str(cfg), scenario_dir, tmp_path) == 2
         assert "elevation_set" in capsys.readouterr().err
 
+    def test_scenario_area_not_finite(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(SMALL_CONFIG.replace("seed = 9\n", "seed = 9\narea_km2 = nan\n"))
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "area_km2" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "scenario_stats.json").exists()
+
+    def test_sidecar_area_not_a_number(self, config_file, scenario_dir, tmp_path, capsys):
+        broken = tmp_path / "scenario"
+        shutil.copytree(scenario_dir, broken)
+        sidecar = json.loads((broken / "scenario_stats.json").read_text())
+        sidecar["area_km2"] = "abc"
+        (broken / "scenario_stats.json").write_text(json.dumps(sidecar))
+        assert self.run(config_file, str(broken), tmp_path) == 2
+        assert "area_km2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, config_file, scenario_dir, tmp_path, capsys, threads):
+        assert self.run(config_file, scenario_dir, tmp_path, "--threads", threads) == 2
+        assert "n_workers" in capsys.readouterr().err
+
     def test_config_without_section_header(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("n_bases = 30\n")

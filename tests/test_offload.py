@@ -17,6 +17,7 @@ from hapsran import (
     offload_week,
     sleep_energy,
 )
+from hapsran import offload
 from hapsran.offload import baseline_energy_per_hour
 from hapsran.traffic import HOURS_PER_WEEK, BSStats, TrafficScenario, percentile_nearest_rank
 
@@ -157,6 +158,18 @@ class TestOffloadWeek:
             cons = OffloadConstraints(min_active_frac=0.4, c_haps=c_haps)
             schedule = offload_week(small_scenario, energy, cons)
             assert schedule.total_energy <= baseline_energy(small_scenario, energy) + 1e-9
+
+    def test_trusts_its_scenario(self, small_scenario, energy, monkeypatch):
+        # a TrafficScenario is checked where it is built; a trial does not check it again
+        def fail(rates, capacities):
+            raise AssertionError("offload_week checked its scenario's rates")
+
+        monkeypatch.setattr(offload, "_hour_inputs", fail)
+        with pytest.raises(AssertionError):
+            offload_hour(small_scenario.rate_matrix[:, 0], small_scenario.capacities, energy,
+                         OffloadConstraints(c_haps=50.0))
+        schedule = offload_week(small_scenario, energy, OffloadConstraints(c_haps=50.0))
+        assert schedule.offloaded_count.sum() > 0
 
     def test_capacity_monotonicity(self, small_scenario, energy):
         energies = []

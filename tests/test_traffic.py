@@ -24,6 +24,7 @@ from hapsran import (
     save_scenario,
     scale_trace,
 )
+from hapsran import traffic
 from hapsran.traffic import HOURS_PER_WEEK, percentile_nearest_rank
 
 
@@ -51,6 +52,16 @@ class TestWeeklyTrace:
         # ceil(0.05*168) = 9th smallest value
         assert trace.p5 == 8.0
         assert trace.p5 == percentile_nearest_rank(values, 0.05)
+
+
+class TestBSStats:
+    @pytest.mark.parametrize("name", ["peak", "p5", "mean", "capacity", "max_load"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_field_rejected(self, name, value):
+        valid = dict(peak=100.0, p5=20.0, mean=60.0, capacity=200.0, max_load=0.6)
+        BSStats(**valid)
+        with pytest.raises(InvalidArgumentError):
+            BSStats(**{**valid, name: value})
 
 
 class TestGenerateBaseTraces:
@@ -259,6 +270,25 @@ class TestScenarioIO:
                 writer.writerow([i, h, repr(float(small_scenario.rate_matrix[i, h]))])
         assert csv_path.read_bytes() == expected.getvalue().encode()
 
+    @given(data=st.data(), n=st.integers(1, 3), cap=st.floats(1e-300, 1e300))
+    @settings(max_examples=40, deadline=None)
+    def test_reload_parses_every_repr_exactly(self, data, n, cap):
+        # zero, subnormals and values at or next to the BSs' shared cap, among arbitrary floats
+        near_cap = st.sampled_from([0.0, 5e-324, 2.2e-308, cap, float(np.nextafter(cap, 0))])
+        value = st.one_of(near_cap, st.floats(0.0, cap))
+        rates = np.resize(data.draw(st.lists(value, min_size=1, max_size=60)), (n, HOURS_PER_WEEK))
+        stats = tuple(
+            BSStats(peak=row.max(), p5=row.min(), mean=row.min(), capacity=cap, max_load=1.0)
+            for row in rates
+        )
+        scenario = TrafficScenario(rate_matrix=rates, stats=stats)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, stats_path = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+            save_scenario(scenario, csv_path, stats_path)
+            loaded = load_scenario(csv_path, stats_path)
+        assert np.array_equal(loaded.rate_matrix, rates)
+        assert loaded.stats == stats
+
 
 @pytest.fixture(scope="module")
 def tiny_scenario_files(tmp_path_factory):
@@ -293,25 +323,77 @@ class TestLoadScenarioRejects:
             _load_text(header + "".join(body), stats_text)
 
     @pytest.mark.parametrize(
-        "bad_row", ["3,0,1.0\n", "0,168,1.0\n", "-1,0,1.0\n", "0,0,abc\n", "0,x,1.0\n", "0,0\n"]
+        "bad_row",
+        [
+            "3,0,1.0\n",
+            "0,168,1.0\n",
+            "-1,0,1.0\n",
+            "0,0,abc\n",
+            "0,x,1.0\n",
+            "0,0\n",
+            "0,0,1.0,5\n",
+            "1.0,1,1.0\n",
+            "0,0,1.0\r0,1,1.0\n",
+            "\n",
+            "swapped",
+            "extra row",
+            "trailing blank line",
+            "header only",
+        ],
     )
-    def test_bad_row(self, tiny_scenario_files, bad_row):
+    def test_bad_row(self, tiny_scenario_files, bad_row, capsys, recwarn, monkeypatch):
         lines, stats_text = tiny_scenario_files
-        # replace the row for (0, 0), so only the bad row is wrong
-        with pytest.raises(InvalidArgumentError):
-            _load_text(lines[0] + bad_row + "".join(lines[2:]), stats_text)
+        end = len(lines) + 1  # the line after the last row
+        cases = {
+            "extra row": [("".join(lines) + "3,0,1.0\n", end)],
+            "trailing blank line": [("".join(lines) + "\n", end)],
+            "header only": [(lines[0], 2)],
+        }.get(bad_row, [])
+        # otherwise replace the row for (0, 0) on line 2, then the row for (1, 1) on line
+        # 171 (or swap it with the next row), so only the bad row is wrong
+        for line in [] if cases else [2, 171]:
+            row, rest = lines[line - 1], lines[line:]
+            body = [rest[0], row, *rest[1:]] if bad_row == "swapped" else [bad_row, *rest]
+            cases.append(("".join(lines[: line - 1] + body), line))
+        for text, line in cases:
+            # in one block, and in blocks of one line each
+            for block_bytes in (traffic._BLOCK_BYTES, 1):
+                monkeypatch.setattr(traffic, "_BLOCK_BYTES", block_bytes)
+                with pytest.raises(InvalidArgumentError, match=f"s.csv:{line}: ") as excinfo:
+                    _load_text(text, stats_text)
+                assert "np." not in str(excinfo.value)
+        assert capsys.readouterr().err == "" and not recwarn.list
 
-    @pytest.mark.parametrize("defect", ["n_bs", "missing_key", "unparsable_stat"])
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "n_bs",
+            "missing_key",
+            "unparsable_stat",
+            'area_km2="abc"',
+            "area_km2=NaN",
+            "area_km2=Infinity",
+            "area_km2=true",
+            "area_km2=-5",
+            "capacity=Infinity",
+            "capacity=NaN",
+        ],
+    )
     def test_bad_sidecar(self, tiny_scenario_files, defect):
         lines, stats_text = tiny_scenario_files
         sidecar = json.loads(stats_text)
+        key, _, value = defect.partition("=")
         if defect == "n_bs":
             sidecar["n_bs"] = 4
         elif defect == "missing_key":
             del sidecar["area_km2"]
-        else:
+        elif defect == "unparsable_stat":
             sidecar["stats"][1]["peak"] = "high"
-        with pytest.raises(InvalidArgumentError):
+        elif key == "area_km2":
+            sidecar["area_km2"] = json.loads(value)
+        else:
+            sidecar["stats"][1]["capacity"] = json.loads(value)
+        with pytest.raises(InvalidArgumentError, match=key if value else None):
             _load_text("".join(lines), json.dumps(sidecar))
 
     def test_unchanged_files_load(self, tiny_scenario_files):
