@@ -22,8 +22,7 @@ from .linkbudget import (
     fspl_db,
     los_probability,
     slant_range_km,
-    snr_db,
-    ue_rate_bps,
+    tx_array_gain_dbi,
 )
 
 AGGREGATIONS = ("mean", "median", "p5")  # the first is the default
@@ -113,19 +112,29 @@ def path_loss_db(
     bucket's clutter and shadow fading per LOS state, and entry loss indoors."""
     idx = tables.bucket_index(pop.elevation_deg)
     d = slant_range_km(params.haps_height_km, pop.elevation_deg)
-    pl = np.full(len(pop), fspl_db(d, params.f_c_ghz))
-    # per-UE terms are added as they are made, so none outlives its use
-    pl += np.where(pop.los, tables.clutter_los[idx], tables.clutter_nlos[idx])
+    los = np.asarray(pop.los, dtype=bool).view(np.uint8)
+
+    def per_ue(nlos_table, los_table) -> np.ndarray:
+        """Each UE's entry of the bucket for its LOS state: a 2-entry take on 0/1 flags."""
+        # the flags are in range, so clip only skips take's per-index bounds check
+        return np.take(np.array([nlos_table[idx], los_table[idx]], dtype=float), los, mode="clip")
+
+    # each term is added in place, as in fspl + clutter + sigma * draw + entry loss
+    pl = per_ue(tables.clutter_nlos, tables.clutter_los)
+    pl += fspl_db(d, params.f_c_ghz)
     if use_shadow_fading:
-        pl += pop.sf_draw * np.where(pop.los, tables.sf_sigma_los[idx], tables.sf_sigma_nlos[idx])
-    if use_building_entry_loss and np.any(pop.indoor):
-        for cls, mask in (
+        sigma = per_ue(tables.sf_sigma_nlos, tables.sf_sigma_los)
+        sigma *= pop.sf_draw
+        pl += sigma
+    if use_building_entry_loss:
+        for cls, in_class in (
             ("traditional", pop.indoor & pop.traditional),
             ("thermally_efficient", pop.indoor & ~pop.traditional),
         ):
-            if np.any(mask):
-                pl[mask] += building_entry_loss_db(
-                    tables.bel[cls], params.f_c_ghz, pop.elevation_deg, pop.bel_p[mask]
+            ues = np.flatnonzero(in_class)  # one index array serves the gather and the scatter
+            if ues.size:
+                pl[ues] += building_entry_loss_db(
+                    tables.bel[cls], params.f_c_ghz, pop.elevation_deg, pop.bel_p[ues]
                 )
     return pl
 
@@ -138,8 +147,18 @@ def ue_rates_mbps(
     use_building_entry_loss: bool = BUILDING_ENTRY_LOSS,
 ) -> np.ndarray:
     """Vectorized per-UE achievable rate in Mbps."""
-    pl = path_loss_db(params, tables, pop, use_shadow_fading, use_building_entry_loss)
-    return ue_rate_bps(params, snr_db(params, pl)) / 1e6
+    rate = path_loss_db(params, tables, pop, use_shadow_fading, use_building_entry_loss)
+    # ue_rate_bps(params, snr_db(params, pl)) / 1e6, evaluated in place in the same order
+    gain = tx_array_gain_dbi(params.g_element_dbi, params.n_rows, params.m_cols)
+    np.subtract(params.p_tx_dbm + gain + params.g_rx_dbi, rate, out=rate)
+    rate -= params.noise_dbm
+    rate /= 10
+    np.power(10.0, rate, out=rate)
+    rate += 1
+    np.log2(rate, out=rate)
+    rate *= params.bandwidth_hz
+    rate /= 1e6
+    return rate
 
 
 def aggregate_capacity(

@@ -203,12 +203,21 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
     mu2 = coeffs.w + coeffs.x * lf
     sigma1 = coeffs.u + coeffs.v * lf
     sigma2 = coeffs.y + coeffs.z * lf
-    z = ndtri(p)
-    # summed in place, left to right: the order of the additions fixes the rounding
-    power = 10 ** (0.1 * (mu1 + sigma1 * z))
-    power += 10 ** (0.1 * (mu2 + sigma2 * z))
+    # evaluated in two buffers, in the operation order of
+    # 10 * log10(10 ** (0.1 * (mu1 + sigma1 * z)) + 10 ** (0.1 * (mu2 + sigma2 * z)) + floor);
+    # out= keeps a 0-d p an array, so it takes the same path
+    z = ndtri(p, out=np.empty_like(p))
+    power = np.multiply(z, sigma1, out=np.empty_like(z))
+    z *= sigma2
+    for term, mu in ((power, mu1), (z, mu2)):
+        term += mu
+        term *= 0.1
+        np.power(10.0, term, out=term)
+    power += z
     power += 10 ** (0.1 * _BEL_FLOOR_DB)
-    return scalar_or_array(10 * np.log10(power))
+    np.log10(power, out=power)
+    power *= 10
+    return scalar_or_array(power)
 
 
 def snr_db(params: LinkParams, pl_db) -> float:

@@ -107,8 +107,17 @@ def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:
     )
 
 
-def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> TrialResult:
-    """Sample the UE population, compute c_haps, solve the week, collect metrics."""
+def run_trial(
+    study: StudyConfig,
+    cfg: TrialConfig,
+    trial_idx: int = 0,
+    baseline_ph: np.ndarray | None = None,
+) -> TrialResult:
+    """Sample the UE population, compute c_haps, solve the week, collect metrics.
+
+    baseline_ph is the study's baseline_energy_per_hour, which run_study looks up
+    once for all its trials; a lone trial looks it up itself.
+    """
     pop = sample_ue_population(cfg, study.tables)
     c_haps = aggregate_capacity(
         cfg,
@@ -121,7 +130,8 @@ def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> Trial
     )
     cons = OffloadConstraints(min_active_frac=study.min_active_frac, c_haps=c_haps)
     schedule = offload_week(study.scenario, study.energy, cons)
-    baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
+    if baseline_ph is None:
+        baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
     capacities = study.scenario.capacities
     return TrialResult(
         trial_idx=trial_idx,
@@ -142,10 +152,18 @@ def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> Trial
 
 
 def run_study(study: StudyConfig) -> list[TrialResult]:
-    """Execute all trials; results are identical for any worker count."""
+    """Execute all trials; results are identical for any worker count.
+
+    The baseline, and with it the scenario's shared energy tables, is looked up
+    once before the first trial. One worker runs the trials inline; more share a
+    thread pool.
+    """
+    baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
 
     def one(idx: int) -> TrialResult:
-        return run_trial(study, sample_trial_config(study, idx), trial_idx=idx)
+        return run_trial(study, sample_trial_config(study, idx), idx, baseline_ph)
 
+    if study.n_workers == 1:
+        return [one(idx) for idx in range(study.n_trials)]
     with ThreadPoolExecutor(max_workers=study.n_workers) as pool:
         return list(pool.map(one, range(study.n_trials)))

@@ -10,7 +10,10 @@ for small instances and is used to validate the greedy.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,21 +72,52 @@ def _hour_inputs(rates, capacities) -> tuple[np.ndarray, np.ndarray]:
     return rates, capacities
 
 
+class EnergyTables(NamedTuple):
+    """A scenario's trial-independent energies under one EnergyParams, read-only."""
+
+    active: np.ndarray  # (T, N): each BS's energy in each hour if it stays on
+    baseline_per_hour: np.ndarray  # (T,): each hour's energy with every BS on
+
+
+# each scenario's tables per EnergyParams; weak keys let an entry go with its scenario
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+def energy_tables(scenario: TrafficScenario, params: EnergyParams) -> EnergyTables:
+    """The scenario's energy tables under params, built on first use.
+
+    They depend on nothing a trial draws, so every trial of a study, and any
+    later use of the same scenario and params, shares one copy.
+    """
+    with _TABLES_LOCK:  # the first trials of a pool would otherwise build it twice
+        per_params = _TABLES.setdefault(scenario, {})
+        tables = per_params.get(params)
+        if tables is None:
+            rates, capacities = scenario.rate_matrix, scenario.capacities
+            active = bs_energy(params, rates.T, capacities)
+            # summed down the (N, T) layout: active.sum(axis=1) would round differently
+            baseline = bs_energy(params, rates, capacities[:, None]).sum(axis=0)
+            active.flags.writeable = False
+            baseline.flags.writeable = False
+            tables = per_params[params] = EnergyTables(active, baseline)
+    return tables
+
+
 def _solve(
-    rates, capacities, order: HourOrder, params: EnergyParams, cons: OffloadConstraints
+    order: HourOrder, active_energy: np.ndarray, params: EnergyParams, cons: OffloadConstraints
 ) -> OffloadSchedule:
-    """Greedy over every hour of an (N, T) rate matrix at once, given its hour order.
+    """Greedy over every hour at once, given the hours' order and (T, N) active energies.
 
     Per hour, the k lowest-ranked BSs sleep: k is the smaller of the active-count
     limit and the longest prefix of the order whose summed rate fits in c_haps.
     The inputs are trusted: a TrafficScenario or _hour_inputs has checked them.
     """
-    n, n_hours = rates.shape
+    n_hours, n = active_energy.shape
     cum = order.cum_rate
     k = np.minimum(cons.max_offloadable(n), (cum <= cons.c_haps).sum(axis=1))
     active = order.rank >= k[:, None]
     offloaded_rate = np.where(k > 0, cum[np.arange(n_hours), k - 1], 0.0)
-    active_energy = bs_energy(params, rates.T, capacities)
     # sum each hour's compressed active energies: a masked 2-D sum rounds differently
     awake = np.array([e[on].sum() for e, on in zip(active_energy, active)])
     return OffloadSchedule(
@@ -105,8 +139,8 @@ def offload_hour(
     carries at least as much traffic.
     """
     rates, capacities = _hour_inputs(rates, capacities)
-    rates = rates[:, None]
-    s = _solve(rates, capacities, sort_hours(rates), params, cons)
+    order = sort_hours(rates[:, None])
+    s = _solve(order, bs_energy(params, rates, capacities)[None, :], params, cons)
     return s.active[0], s.total_energy, float(s.offloaded_rate[0]), int(s.offloaded_count[0])
 
 
@@ -114,13 +148,13 @@ def offload_week(
     scenario: TrafficScenario, params: EnergyParams, cons: OffloadConstraints
 ) -> OffloadSchedule:
     """Apply the greedy solve independently to each of the 168 hours, in the
-    scenario's cached hour order."""
-    return _solve(scenario.rate_matrix, scenario.capacities, scenario.hour_order, params, cons)
+    scenario's cached hour order and with its shared energy tables."""
+    return _solve(scenario.hour_order, energy_tables(scenario, params).active, params, cons)
 
 
 def baseline_energy_per_hour(scenario: TrafficScenario, params: EnergyParams) -> np.ndarray:
-    """Per-hour energy with every BS active (no offloading)."""
-    return bs_energy(params, scenario.rate_matrix, scenario.capacities[:, None]).sum(axis=0)
+    """Per-hour energy with every BS active (no offloading), as a shared read-only array."""
+    return energy_tables(scenario, params).baseline_per_hour
 
 
 def baseline_energy(scenario: TrafficScenario, params: EnergyParams) -> float:

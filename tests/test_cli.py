@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hapsran import (
     offload_week,
     traffic,
 )
+from hapsran import offload
 from hapsran.cli import main
 
 SMALL_CONFIG = """\
@@ -119,6 +121,28 @@ class TestRunCommand:
         assert code == 0
         header = (tmp_path / "schedule.csv").read_text().splitlines()[0]
         assert header == "hour,bs_id,active,energy"
+
+    def test_export_schedule_reuses_the_energy_tables(
+        self, config_file, scenario_dir, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_bs_energy = offload.bs_energy
+        # every module of the package that has bs_energy to call, other than its own
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hapsran.") and name != "hapsran.energymodel":
+                if getattr(module, "bs_energy", None) is real_bs_energy:
+                    monkeypatch.setattr(
+                        module, "bs_energy", lambda *a: calls.append(1) or real_bs_energy(*a)
+                    )
+        counts = []
+        for extra in ([], ["--export-schedule"]):
+            calls.clear()
+            argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                    "--out", str(tmp_path / str(len(extra))), "--trials", "2", *extra]
+            assert main(argv) == 0
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
 
     def test_export_schedule_energy_is_per_bs(self, config_file, scenario_dir, tmp_path):
         argv = ["run", "--config", config_file, "--scenario", scenario_dir,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from hapsran import (
     InvalidArgumentError,
@@ -22,6 +23,8 @@ from hapsran import (
     tx_array_gain_dbi,
     ue_rate_bps,
 )
+from hapsran.hapscapacity import ue_rates_mbps
+from hapsran.linkbudget import _BEL_ELEVATION_SLOPE, _BEL_FLOOR_DB
 
 
 class TestFspl:
@@ -303,3 +306,133 @@ class TestTables:
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidArgumentError):
             load_channel_tables(path)
+
+
+def reference_entry_loss_db(coeffs, f_c_ghz, elevation_deg, p):
+    """Entry loss in the plain array formulation that building_entry_loss_db evaluates in place."""
+    lf = math.log10(f_c_ghz)
+    mu1 = coeffs.r + coeffs.s * lf + coeffs.t * lf * lf + _BEL_ELEVATION_SLOPE * abs(elevation_deg)
+    mu2 = coeffs.w + coeffs.x * lf
+    sigma1 = coeffs.u + coeffs.v * lf
+    sigma2 = coeffs.y + coeffs.z * lf
+    z = ndtri(p)
+    power = 10 ** (0.1 * (mu1 + sigma1 * z))
+    power += 10 ** (0.1 * (mu2 + sigma2 * z))
+    power += 10 ** (0.1 * _BEL_FLOOR_DB)
+    return 10 * np.log10(power)
+
+
+def reference_path_loss_db(params, tables, pop, use_shadow_fading=True, use_bel=True):
+    """Path loss from np.where picks and boolean-mask updates, the formulation
+    path_loss_db replaces with takes and index arrays."""
+    idx = tables.bucket_index(pop.elevation_deg)
+    d = slant_range_km(params.haps_height_km, pop.elevation_deg)
+    pl = np.full(len(pop), fspl_db(d, params.f_c_ghz))
+    pl += np.where(pop.los, tables.clutter_los[idx], tables.clutter_nlos[idx])
+    if use_shadow_fading:
+        pl += pop.sf_draw * np.where(pop.los, tables.sf_sigma_los[idx], tables.sf_sigma_nlos[idx])
+    if use_bel and np.any(pop.indoor):
+        for cls, mask in (
+            ("traditional", pop.indoor & pop.traditional),
+            ("thermally_efficient", pop.indoor & ~pop.traditional),
+        ):
+            if np.any(mask):
+                pl[mask] += reference_entry_loss_db(
+                    tables.bel[cls], params.f_c_ghz, pop.elevation_deg, pop.bel_p[mask]
+                )
+    return pl
+
+
+def drawn_population(rng, n, elevation_deg, indoor="mixed", traditional="mixed"):
+    """A population whose indoor and traditional columns are all True, all False or mixed."""
+
+    def flags(mode):
+        return rng.random(n) < 0.5 if mode == "mixed" else np.full(n, mode == "all")
+
+    return UEPopulation(
+        elevation_deg=elevation_deg,
+        los=rng.random(n) < 0.5,
+        indoor=flags(indoor),
+        traditional=flags(traditional),
+        sf_draw=rng.standard_normal(n),
+        bel_p=np.clip(rng.random(n), 1e-12, 1 - 1e-12),
+    )
+
+
+FLAG_MODES = st.sampled_from(["mixed", "all", "none"])
+
+
+class TestInPlaceLinkBudget:
+    """The in-place link budget must equal its plain formulation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, indoor, traditional, use_sf, use_bel",
+        [
+            pytest.param(500, "none", "mixed", True, True, id="all-outdoor"),
+            pytest.param(500, "all", "mixed", True, True, id="all-indoor"),
+            pytest.param(500, "mixed", "all", True, True, id="no-thermally-efficient"),
+            pytest.param(500, "mixed", "none", True, True, id="no-traditional"),
+            pytest.param(500, "mixed", "mixed", False, True, id="no-shadow-fading"),
+            pytest.param(500, "mixed", "mixed", True, False, id="no-entry-loss"),
+            pytest.param(1, "all", "all", True, True, id="one-ue"),
+            pytest.param(0, "mixed", "mixed", True, True, id="no-ue"),
+        ],
+    )
+    def test_named_cases(self, tables, link, n, indoor, traditional, use_sf, use_bel):
+        pop = drawn_population(np.random.default_rng(n), n, 60.0, indoor, traditional)
+        got = path_loss_db(link, tables, pop, use_sf, use_bel)
+        assert np.array_equal(got, reference_path_loss_db(link, tables, pop, use_sf, use_bel))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        elevation=st.floats(10.0, 90.0),
+        f_c_ghz=st.floats(0.5, 40.0),
+        p_tx_dbm=st.floats(0.0, 60.0),
+        indoor=FLAG_MODES,
+        traditional=FLAG_MODES,
+        use_sf=st.booleans(),
+        use_bel=st.booleans(),
+    )
+    def test_drawn_populations(
+        self, tables, seed, n, elevation, f_c_ghz, p_tx_dbm, indoor, traditional, use_sf, use_bel
+    ):
+        link = LinkParams(f_c_ghz=f_c_ghz, p_tx_dbm=p_tx_dbm)
+        pop = drawn_population(np.random.default_rng(seed), n, elevation, indoor, traditional)
+        expected = reference_path_loss_db(link, tables, pop, use_sf, use_bel)
+        assert np.array_equal(path_loss_db(link, tables, pop, use_sf, use_bel), expected)
+        rates = ue_rates_mbps(link, tables, pop, use_sf, use_bel)
+        assert np.array_equal(rates, ue_rate_bps(link, snr_db(link, expected)) / 1e6)
+
+    def test_broadcast_columns(self, tables, link):
+        # read-only, zero-stride columns, as a population built by broadcasting has
+        pop = ues(
+            los=[True, False, False], indoor=[False, True, True], traditional=[True, False, True]
+        )
+        expected = reference_path_loss_db(link, tables, pop)
+        assert np.array_equal(path_loss_db(link, tables, pop), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.lists(st.floats(1e-12, 1 - 1e-12), min_size=1, max_size=50),
+        elevation=st.floats(-90.0, 90.0),
+        f_c_ghz=st.floats(0.1, 100.0),
+    )
+    def test_entry_loss_arrays(self, tables, p, elevation, f_c_ghz):
+        p = np.array(p)
+        for coeffs in tables.bel.values():
+            got = building_entry_loss_db(coeffs, f_c_ghz, elevation, p)
+            assert np.array_equal(got, reference_entry_loss_db(coeffs, f_c_ghz, elevation, p))
+
+    @pytest.mark.parametrize("p", [0.5, np.float64(0.25), np.array(0.75)])
+    def test_entry_loss_of_a_scalar_is_a_float(self, tables, p):
+        coeffs = tables.bel["traditional"]
+        loss = building_entry_loss_db(coeffs, 2, 60, p)
+        assert type(loss) is float
+        assert loss == pytest.approx(float(reference_entry_loss_db(coeffs, 2, 60, p)))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, [0.5, 0.0], [1.0, 0.5], np.array(0.0)])
+    def test_entry_loss_rejects_the_interval_ends(self, tables, p):
+        with pytest.raises(InvalidArgumentError, match="open interval"):
+            building_entry_loss_db(tables.bel["traditional"], 2, 60, p)

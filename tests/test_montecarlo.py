@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hapsran import (
     run_trial,
     sample_trial_config,
 )
+from hapsran import montecarlo, offload
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,63 @@ class TestRunStudy:
                     )
         finally:
             sys.setswitchinterval(interval)
+
+    def test_one_worker_runs_inline(self, study, monkeypatch):
+        pools = []
+        real_pool = montecarlo.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        inline = run_study(study)
+        assert pools == []
+        pooled = run_study(dataclasses.replace(study, n_workers=2))
+        assert pools == [2]
+        for a, b in zip(inline, pooled, strict=True):
+            np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+
+    def test_energy_tables_built_once_per_study(self, study, monkeypatch):
+        calls = []  # list.append is atomic, so worker threads can share it
+        real_bs_energy = offload.bs_energy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_bs_energy(*args, **kwargs)
+
+        monkeypatch.setattr(offload, "bs_energy", counting)
+        counts = []
+        for n_trials in (4, 8):
+            for workers in (1, 2):
+                fresh = TrafficScenario(  # a scenario of its own, so no earlier study's tables
+                    rate_matrix=study.scenario.rate_matrix, stats=study.scenario.stats
+                )
+                calls.clear()
+                run_study(
+                    dataclasses.replace(study, scenario=fresh, n_trials=n_trials, n_workers=workers)
+                )
+                counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 4
+
+    def test_trials_share_read_only_baseline(self, study):
+        results = run_study(study)
+        shared = results[0].baseline_energy_per_hour
+        assert all(r.baseline_energy_per_hour is shared for r in results)
+        assert shared is offload.energy_tables(study.scenario, study.energy).baseline_per_hour
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_does_not_pin_its_scenario(self, study, workers):
+        fresh = TrafficScenario(rate_matrix=study.scenario.rate_matrix, stats=study.scenario.stats)
+        results = run_study(dataclasses.replace(study, scenario=fresh, n_workers=workers))
+        ref = weakref.ref(fresh)
+        del fresh
+        gc.collect()
+        assert ref() is None
+        assert len(results) == study.n_trials
 
     def test_trial_independence(self, study):
         # results do not depend on which other trials are run

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -277,6 +279,35 @@ class TestScenarioCaches:
         assert "hour_order" not in vars(twin)
         assert twin.hour_order is not small_scenario.hour_order
         np.testing.assert_array_equal(twin.hour_order.rank, small_scenario.hour_order.rank)
+
+
+class TestEnergyTables:
+    def test_built_once_and_read_only(self, small_scenario, energy):
+        tables = offload.energy_tables(small_scenario, energy)
+        assert offload.energy_tables(small_scenario, EnergyParams()) is tables
+        assert baseline_energy_per_hour(small_scenario, energy) is tables.baseline_per_hour
+        assert tables.active.shape == (HOURS_PER_WEEK, small_scenario.n_bs)
+        for array in tables:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_values_are_the_per_call_energies(self, small_scenario):
+        params = EnergyParams(e0=0.3, eta=0.5)
+        rates, caps = small_scenario.rate_matrix, small_scenario.capacities
+        tables = offload.energy_tables(small_scenario, params)
+        assert np.array_equal(tables.active, bs_energy(params, rates.T, caps))
+        expected = bs_energy(params, rates, caps[:, None]).sum(axis=0)
+        assert tables.baseline_per_hour.tobytes() == expected.tobytes()
+        assert offload.energy_tables(small_scenario, EnergyParams()) is not tables
+
+    def test_an_entry_goes_with_its_scenario(self, small_scenario, energy):
+        twin = TrafficScenario(rate_matrix=small_scenario.rate_matrix, stats=small_scenario.stats)
+        offload.energy_tables(twin, energy)
+        ref = weakref.ref(twin)
+        del twin
+        gc.collect()
+        assert ref() is None
 
 
 class TestBaseline:
