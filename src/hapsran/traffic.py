@@ -9,7 +9,6 @@ BS trace reproduces a target peak and 5th-percentile hourly volume.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import math
@@ -87,6 +86,11 @@ class BSStats:
     max_load: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is float:  # the usual case, without the ABC check's 1 us
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
         if not (0 <= self.p5 <= self.mean <= self.peak):
             raise InvalidArgumentError(
                 f"need 0 <= p5 <= mean <= peak, got {self.p5}, {self.mean}, {self.peak}"
@@ -243,39 +247,111 @@ def scale_trace(base: WeeklyTrace, target: BSStats) -> WeeklyTrace:
     p5, span = np.array([base.p5]), np.array([base.peak - base.p5])
     if span[0] <= 0:
         raise DegenerateTraceError("base trace is constant; cannot fit peak and p5")
-    return WeeklyTrace(_scale_rows(rows, p5, span, target, np.empty_like(rows))[0])
+    return WeeklyTrace(_scale_rows(rows, p5, span, target.peak, target.p5, np.empty_like(rows))[0])
 
 
 def _scale_rows(
-    rows: np.ndarray, p5s: np.ndarray, spans: np.ndarray, target: BSStats, out: np.ndarray
+    rows: np.ndarray,
+    p5s: np.ndarray,
+    spans: np.ndarray,
+    peak: float | np.ndarray,
+    p5: float | np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Map each row's (p5, p5 + span) affinely onto target's (p5, peak), clip at 0, into out."""
-    a = (target.peak - target.p5) / spans
-    b = target.p5 - a * p5s
+    """Map each row's (p5, p5 + span) affinely onto (p5, peak), clip at 0, into out.
+
+    peak and p5 are one target's, or per-row arrays of them.
+    """
+    a = (peak - p5) / spans
+    b = p5 - a * p5s
     np.multiply(a[:, None], rows, out=out)
     out += b[:, None]
     return np.clip(out, 0.0, None, out=out)
 
 
+def _nearest_by_scan(
+    base_matrix: np.ndarray,
+    p5s: np.ndarray,
+    spans: np.ndarray,
+    usable: np.ndarray,
+    peak: float,
+    p5: float,
+    mean: float,
+) -> int:
+    """The usable row whose scaled mean is nearest mean, found by scaling every row."""
+    scaled = _scale_rows(base_matrix, p5s, spans, peak, p5, np.empty_like(base_matrix))
+    dev = np.abs(scaled.mean(axis=1) - mean)
+    dev[~usable] = np.inf
+    return int(np.argmin(dev))  # argmin keeps the lowest index on ties
+
+
+# Both ways of taking 168 times a clipped mean, _nearest_by_scan's and _matched_rows's,
+# err by less than about 700 units of 2**-53 of a*sum(v) + 168*target.mean: the 168 terms
+# a*v + b are each rounded and then summed (up to 167 roundings of their total), and
+# |b| <= a*p5(v) + target.p5, where p5(v) <= mean(v) * 168/160 and target.p5 <= target.mean.
+# A pick stands if it beats every other row by both rows' bounds, taken six times over.
+_PICK_MARGIN = 2048 * np.finfo(float).eps
+
+
 def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray:
     """Per target, the scaled base trace whose mean is nearest the target mean.
 
-    All candidates are scaled into one reused buffer, so memory is flat in len(targets).
+    Take a base row with 5th percentile p5 and span peak - p5, and a = (target.peak -
+    target.p5)/span >= 0.  A value v adds a*v + b to the clipped sum only if v > -b/a,
+    which is p5 - span * target.p5/(target.peak - target.p5).  With the row sorted and S
+    its suffix sums, 168 times the clipped mean is a*S[n] + b*(168 - n), where n counts
+    the values at or below that cut: for each base row, one search and one lookup serve
+    all targets at once.  That sum rounds differently from _nearest_by_scan's mean, so a
+    pick stands only where its deviation plus its rounding bound is below every other
+    row's deviation minus that row's bound.  _nearest_by_scan decides the rest, exact
+    ties included, so every pick is the scan's.
     """
     peaks = base_matrix.max(axis=1)
     p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
     usable = peaks > p5s
     if not np.any(usable):
         raise NoCandidateError("all candidate base traces are degenerate")
-    spans = np.where(usable, peaks - p5s, 1.0)  # degenerate rows are masked out below
-    scaled = np.empty_like(base_matrix)
-    out = np.empty((len(targets), HOURS_PER_WEEK))
-    for i, target in enumerate(targets):
-        _scale_rows(base_matrix, p5s, spans, target, scaled)
-        dev = np.abs(scaled.mean(axis=1) - target.mean)
-        dev[~usable] = np.inf
-        out[i] = scaled[np.argmin(dev)]  # argmin keeps the lowest index on ties
-    return out
+    spans = np.where(usable, peaks - p5s, 1.0)  # degenerate rows are never picked
+    t_peak, t_p5, t_mean = np.array([(t.peak, t.p5, t.mean) for t in targets], dtype=float).T
+    m = len(targets)
+    pick = np.zeros(m, dtype=np.intp)
+    pick_dev = np.full(m, np.inf)  # 168 times |mean - target mean| of the pick
+    low1, low2 = np.full(m, np.inf), np.full(m, np.inf)  # the two lowest dev - bound
+    suffix = np.zeros(HOURS_PER_WEEK + 1)  # suffix[n]: sum of the row's values from rank n up
+    # Magnitudes near the float limit can turn an estimate or a bound into inf or nan.
+    # np.minimum carries that into pick_dev, low1 or low2, and the scan decides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_bounds = _PICK_MARGIN * base_matrix.sum(axis=1)
+        width = t_peak - t_p5
+        t_sum = HOURS_PER_WEEK * t_mean
+        t_bound = _PICK_MARGIN * t_sum
+        # a flat target (peak == p5) keeps every value: its cut is -inf
+        cut_slope = np.divide(t_p5, width, out=np.full(m, np.inf), where=width > 0)
+        for i in np.flatnonzero(usable):
+            sorted_row = np.sort(base_matrix[i])
+            np.add.accumulate(sorted_row[::-1], out=suffix[-2::-1])
+            a = width / spans[i]
+            b = t_p5 - a * p5s[i]
+            n = np.searchsorted(sorted_row, p5s[i] - spans[i] * cut_slope, side="right")
+            dev = a * suffix[n]
+            dev += b * (HOURS_PER_WEEK - n)
+            dev -= t_sum
+            np.abs(dev, out=dev)
+            np.copyto(pick, i, where=dev < pick_dev)  # strict: ties keep the lower row
+            np.minimum(pick_dev, dev, out=pick_dev)
+            bound = a * row_bounds[i]
+            bound += t_bound
+            low = np.subtract(dev, bound, out=bound)
+            np.minimum(low2, np.maximum(low1, low), out=low2)
+            np.minimum(low1, low, out=low1)
+        pick_bound = width / spans[pick] * row_bounds[pick] + t_bound  # the loop's, to the bit
+        # the lowest dev - bound of the rows other than the pick
+        others = np.where(pick_dev - pick_bound == low1, low2, low1)
+        certain = pick_dev + pick_bound < others
+    for k in np.flatnonzero(~certain):
+        pick[k] = _nearest_by_scan(base_matrix, p5s, spans, usable, t_peak[k], t_p5[k], t_mean[k])
+    rows = base_matrix[pick]
+    return _scale_rows(rows, p5s[pick], spans[pick], t_peak, t_p5, out=rows)
 
 
 def match_trace(bases: list[WeeklyTrace], target: BSStats) -> WeeklyTrace:
@@ -302,11 +378,11 @@ def build_scenario(
 def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: str | Path) -> None:
     """Write the trace CSV (bs_id,hour,rate_mbps) and the JSON stats sidecar."""
     csv_path, stats_path = Path(csv_path), Path(stats_path)
+    # the bytes csv.writer would write: \r\n line ends, and no field needs quoting
     with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_ROW.names)
+        fh.write(",".join(_CSV_ROW.names) + "\r\n")
         for i, row in enumerate(scenario.rate_matrix.tolist()):
-            writer.writerows([i, h, repr(rate)] for h, rate in enumerate(row))
+            fh.write("".join([f"{i},{h},{rate!r}\r\n" for h, rate in enumerate(row)]))
     sidecar = {
         "area_km2": scenario.area_km2,
         "n_bs": scenario.n_bs,

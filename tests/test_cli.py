@@ -321,6 +321,16 @@ class TestMalformedInputsExit2:
         assert self.run(config_file, str(broken), tmp_path) == 2
         assert "area_km2" in capsys.readouterr().err
 
+    def test_sidecar_stat_is_boolean(self, config_file, scenario_dir, tmp_path, capsys):
+        # JSON true is a Python bool, which is an int: it must not load as max_load 1.0
+        broken = tmp_path / "scenario"
+        shutil.copytree(scenario_dir, broken)
+        sidecar = json.loads((broken / "scenario_stats.json").read_text())
+        sidecar["stats"][0]["max_load"] = True
+        (broken / "scenario_stats.json").write_text(json.dumps(sidecar))
+        assert self.run(config_file, str(broken), tmp_path) == 2
+        assert "max_load" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, config_file, scenario_dir, tmp_path, capsys, threads):
         assert self.run(config_file, scenario_dir, tmp_path, "--threads", threads) == 2

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,44 @@ def stats_for(trace, capacity=None, max_load=1.0):
     )
 
 
+def scan_reference(base_matrix, targets):
+    """The exhaustive scan: per target, scale every usable base and keep the nearest mean."""
+    peaks = base_matrix.max(axis=1)
+    p5s = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
+    usable = peaks > p5s
+    rows = []
+    for target in targets:
+        a = (target.peak - target.p5) / np.where(usable, peaks - p5s, 1.0)
+        b = target.p5 - a * p5s
+        scaled = np.clip(a[:, None] * base_matrix + b[:, None], 0.0, None)
+        dev = np.where(usable, np.abs(scaled.mean(axis=1) - target.mean), np.inf)
+        rows.append(scaled[np.argmin(dev)])  # argmin keeps the lowest index on ties
+    return np.array(rows)
+
+
+def count_scans(monkeypatch):
+    """Record the row that each call of the matcher's exhaustive-scan fallback picks."""
+    picks = []
+    scan = traffic._nearest_by_scan
+
+    def counting(*args):
+        picks.append(scan(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(traffic, "_nearest_by_scan", counting)
+    return picks
+
+
+def assert_matches_scan(base_matrix, targets):
+    """_matched_rows gives scan_reference's rows, bit for bit, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = traffic._matched_rows(base_matrix, targets)
+    expected = scan_reference(base_matrix, targets)
+    assert np.array_equal(rows, expected)
+    return expected
+
+
 class TestWeeklyTrace:
     def test_length_enforced(self):
         with pytest.raises(InvalidArgumentError):
@@ -62,6 +101,18 @@ class TestBSStats:
         BSStats(**valid)
         with pytest.raises(InvalidArgumentError):
             BSStats(**{**valid, name: value})
+
+    @pytest.mark.parametrize("name", ["peak", "p5", "mean", "capacity", "max_load"])
+    @pytest.mark.parametrize("value", [True, False, "60.0", None, [1.0]])
+    def test_bool_or_non_real_field_rejected(self, name, value):
+        # a bool is an int, so without the type check max_load=True would pass as 1.0
+        valid = dict(peak=100.0, p5=20.0, mean=60.0, capacity=200.0, max_load=0.6)
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real number"):
+            BSStats(**{**valid, name: value})
+
+    def test_ints_and_numpy_floats_accepted(self):
+        BSStats(0, 0, 0, 10, 1)
+        BSStats(*np.array([100.0, 20.0, 60.0, 200.0, 0.6]))
 
 
 class TestGenerateBaseTraces:
@@ -174,11 +225,30 @@ class TestMatchTrace:
         (target,) = generate_target_stats(1, seed=9)
         chosen = match_trace(bases, target)
         # independent oracle: scale every base individually and scan
-        deviations = []
-        for base in bases:
-            scaled = scale_trace(base, target)
-            deviations.append(abs(scaled.mean - target.mean))
-        assert abs(chosen.mean - target.mean) == pytest.approx(min(deviations), rel=1e-12)
+        deviations = [abs(scale_trace(base, target).mean - target.mean) for base in bases]
+        expected = scale_trace(bases[int(np.argmin(deviations))], target)
+        assert np.array_equal(chosen.values, expected.values)
+
+    def test_all_degenerate_rejected(self):
+        (target,) = generate_target_stats(1, seed=1)
+        bases = [WeeklyTrace(np.full(HOURS_PER_WEEK, level)) for level in (0.0, 2.0, 2.0)]
+        with pytest.raises(NoCandidateError):
+            match_trace(bases, target)
+
+    @pytest.mark.parametrize(
+        "target",
+        [BSStats(5.0, 5.0, 5.0, 10.0, 1.0), BSStats(0, 0, 0, 10, 1)],
+        ids=["peak_eq_p5", "all_zero"],
+    )
+    def test_flat_target(self, target):
+        # a = 0: every value is kept, and every usable base scales to the constant p5
+        bases = [WeeklyTrace(np.full(HOURS_PER_WEEK, 3.0)), *generate_base_traces(10, seed=1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chosen = match_trace(bases, target)
+        expected = scan_reference(np.stack([b.values for b in bases]), [target])[0]
+        assert np.array_equal(chosen.values, expected)
+        assert np.array_equal(chosen.values, np.full(HOURS_PER_WEEK, float(target.p5)))
 
 
 class TestBuildScenario:
@@ -205,15 +275,8 @@ class TestBuildScenario:
     def test_matches_per_target_oracle(self, small_scenario):
         # same inputs as the small_scenario fixture: build_scenario(60, 40, seed=11)
         base_matrix = np.stack([t.values for t in generate_base_traces(60, seed=11)])
-        peaks = base_matrix.max(axis=1)
-        p5s = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
-        usable = peaks > p5s
-        for i, target in enumerate(generate_target_stats(40, seed=11)):
-            a = (target.peak - target.p5) / np.where(usable, peaks - p5s, 1.0)
-            b = target.p5 - a * p5s
-            scaled = np.clip(a[:, None] * base_matrix + b[:, None], 0.0, None)
-            dev = np.where(usable, np.abs(scaled.mean(axis=1) - target.mean), np.inf)
-            np.testing.assert_array_equal(small_scenario.rate_matrix[i], scaled[np.argmin(dev)])
+        expected = scan_reference(base_matrix, generate_target_stats(40, seed=11))
+        np.testing.assert_array_equal(small_scenario.rate_matrix, expected)
 
     def test_rows_are_scale_trace_outputs(self, small_scenario):
         # build_scenario and scale_trace share one scaling kernel, bit for bit
@@ -221,6 +284,118 @@ class TestBuildScenario:
         usable = [b for b in bases if b.peak > b.p5]
         for row, target in zip(small_scenario.rate_matrix, generate_target_stats(40, seed=11)):
             assert any(np.array_equal(row, scale_trace(b, target).values) for b in usable)
+
+    @pytest.mark.parametrize(
+        "stats_kwargs",
+        [dict(p5_ratio_range=(1.0, 1.0)), dict(peak_load_range=(0.0, 0.0))],
+        ids=["peak_eq_p5", "all_zero"],
+    )
+    def test_flat_targets(self, stats_kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenario = build_scenario(30, 5, seed=2, **stats_kwargs)
+        targets = generate_target_stats(5, seed=2, **stats_kwargs)
+        assert all(t.peak == t.p5 for t in targets)
+        base_matrix = np.stack([t.values for t in generate_base_traces(30, seed=2)])
+        np.testing.assert_array_equal(scenario.rate_matrix, scan_reference(base_matrix, targets))
+
+
+def _target(peak, p5_frac, mean_frac):
+    p5 = peak * p5_frac
+    mean = min(p5 + (peak - p5) * mean_frac, peak)
+    return BSStats(peak=peak, p5=p5, mean=mean, capacity=2 * peak + 1, max_load=1.0)
+
+
+_targets = st.one_of(
+    st.builds(
+        _target,
+        peak=st.floats(1e-3, 1e3),
+        # p5 0 clips heavily; p5 == peak is a flat target
+        p5_frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        mean_frac=st.floats(0.0, 1.0),
+    ),
+    st.just(BSStats(0, 0, 0, 1, 1)),
+)
+
+
+@st.composite
+def _matcher_cases(draw):
+    """Diurnal and random base rows among duplicated, constant and near-degenerate ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["diurnal", "random", "duplicate", "constant", "near_degenerate", "huge"]
+    rows = [generate_base_traces(1, seed=int(rng.integers(1 << 30)))[0].values]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=7)):
+        if kind == "diurnal":
+            rows.append(generate_base_traces(1, seed=int(rng.integers(1 << 30)))[0].values)
+        elif kind == "random":
+            rows.append(rng.uniform(0.0, 1.0, HOURS_PER_WEEK) ** rng.uniform(0.2, 5.0) * 10.0)
+        elif kind == "duplicate":
+            rows.append(rows[rng.integers(len(rows))])
+        elif kind == "constant":
+            rows.append(np.full(HOURS_PER_WEEK, rng.uniform(0.0, 10.0)))
+        elif kind == "huge":  # its sum overflows: the scan must decide, without a warning
+            rows.append(rng.uniform(0.0, 1.0, HOURS_PER_WEEK) * 1e308)
+        else:  # a span of about 1e-9 of the level
+            level = rng.uniform(1.0, 1e3)
+            rows.append(level * (1.0 + 1e-9 * rng.uniform(0.0, 1.0, HOURS_PER_WEEK)))
+    return np.array(rows), draw(st.lists(_targets, min_size=1, max_size=6))
+
+
+class TestMatcherEqualsScan:
+    """_matched_rows returns the exhaustive scan's rows, bit for bit."""
+
+    @given(_matcher_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_cases(self, case):
+        assert_matches_scan(*case)
+
+    def test_clear_picks_skip_the_scan(self, monkeypatch):
+        picks = count_scans(monkeypatch)
+        base_matrix = np.stack([t.values for t in generate_base_traces(60, seed=11)])
+        targets = generate_target_stats(40, seed=11)
+        assert_matches_scan(base_matrix, targets)
+        assert picks == []
+
+    def test_duplicate_rows_tie_to_the_lower_index(self, monkeypatch):
+        picks = count_scans(monkeypatch)
+        base_matrix = np.stack([t.values for t in generate_base_traces(5, seed=3)])
+        base_matrix = np.vstack([base_matrix, base_matrix])  # row i + 5 equals row i
+        targets = generate_target_stats(20, seed=3)
+        assert_matches_scan(base_matrix, targets)
+        # an exact tie cannot be certified, and the scan keeps the lower row
+        assert len(picks) == len(targets) and max(picks) < 5
+
+    def test_constant_rows_and_clipping_targets(self):
+        bases = np.stack([t.values for t in generate_base_traces(20, seed=5)])
+        base_matrix = np.insert(bases, [0, 7, 20], np.full(HOURS_PER_WEEK, 1.5), axis=0)
+        targets = generate_target_stats(30, seed=5, p5_ratio_range=(0.0, 0.0))
+        assert all(t.p5 == 0 for t in targets)
+        expected = assert_matches_scan(base_matrix, targets)
+        assert np.all(expected.min(axis=1) == 0.0)  # p5 = 0: the low hours are clipped
+
+    def test_near_degenerate_base_takes_the_scan(self, monkeypatch):
+        # shape and level * (1 + 1e-9 * shape/max) scale to the same trace in exact
+        # arithmetic; in floating point the second one's scaling cancels about 9 digits
+        picks = count_scans(monkeypatch)
+        shape = generate_base_traces(1, seed=4)[0].values
+        base_matrix = np.stack([shape, 100.0 * (1.0 + 1e-9 * shape / shape.max())])
+        targets = generate_target_stats(5, seed=4)
+        assert_matches_scan(base_matrix, targets)
+        assert len(picks) == len(targets)
+
+    def test_near_tie_takes_the_scan(self, monkeypatch):
+        # two rows whose scaled means differ by about 6e-14 of their size: too close to
+        # certify, but far enough apart that the scan picks the higher mean every time
+        picks = count_scans(monkeypatch)
+        shape = generate_base_traces(1, seed=6)[0].values
+        bumped = shape.copy()
+        k = np.argsort(shape)[HOURS_PER_WEEK // 2]  # neither the peak nor the 5th percentile
+        bumped[k] *= 1.0 + 1e-11
+        base_matrix = np.stack([shape, bumped])
+        targets = [_target(peak, 0.2, 0.9) for peak in (1.0, 30.0, 500.0)]
+        assert all(t.mean > scale_trace(WeeklyTrace(bumped), t).mean for t in targets)
+        assert_matches_scan(base_matrix, targets)
+        assert picks == [1] * len(targets)
 
 
 class TestTrafficScenario:
@@ -377,6 +552,11 @@ class TestLoadScenarioRejects:
             "area_km2=-5",
             "capacity=Infinity",
             "capacity=NaN",
+            "peak=true",
+            "p5=true",
+            "mean=true",
+            "capacity=true",
+            "max_load=true",
         ],
     )
     def test_bad_sidecar(self, tiny_scenario_files, defect):
@@ -392,7 +572,7 @@ class TestLoadScenarioRejects:
         elif key == "area_km2":
             sidecar["area_km2"] = json.loads(value)
         else:
-            sidecar["stats"][1]["capacity"] = json.loads(value)
+            sidecar["stats"][1][key] = json.loads(value)
         with pytest.raises(InvalidArgumentError, match=key if value else None):
             _load_text("".join(lines), json.dumps(sidecar))
 
