@@ -25,12 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, traffic
-from .energymodel import EnergyParams, sleep_energy
+from .energymodel import EnergyParams, bs_energy, sleep_energy
 from .errors import HapsRanError, InvalidArgumentError
 from .linkbudget import LinkParams, load_channel_tables
 from .metrics import DEFAULT_MASKS, energy_saving
 from .montecarlo import StudyConfig, run_study, run_trial, sample_trial_config
-from .offload import OffloadConstraints, energy_tables, offload_week
+from .offload import OffloadConstraints, offload_week
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,7 +208,7 @@ def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
         min_active_frac=study.min_active_frac, c_haps=results[0].c_haps_mbps
     )
     schedule = offload_week(study.scenario, study.energy, cons)
-    active_energy = energy_tables(study.scenario, study.energy).active  # (T, N)
+    active_energy = bs_energy(study.energy, study.scenario.rate_matrix.T, study.scenario.capacities)
     energy = np.where(schedule.active, active_energy, sleep_energy(study.energy))
     rows = (
         [h, i, int(on), metrics._fmt(e)]

@@ -107,17 +107,8 @@ def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:
     )
 
 
-def run_trial(
-    study: StudyConfig,
-    cfg: TrialConfig,
-    trial_idx: int = 0,
-    baseline_ph: np.ndarray | None = None,
-) -> TrialResult:
-    """Sample the UE population, compute c_haps, solve the week, collect metrics.
-
-    baseline_ph is the study's baseline_energy_per_hour, which run_study looks up
-    once for all its trials; a lone trial looks it up itself.
-    """
+def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> TrialResult:
+    """Sample the UE population, compute c_haps, solve the week, collect metrics."""
     pop = sample_ue_population(cfg, study.tables)
     c_haps = aggregate_capacity(
         cfg,
@@ -130,8 +121,7 @@ def run_trial(
     )
     cons = OffloadConstraints(min_active_frac=study.min_active_frac, c_haps=c_haps)
     schedule = offload_week(study.scenario, study.energy, cons)
-    if baseline_ph is None:
-        baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
+    baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
     capacities = study.scenario.capacities
     return TrialResult(
         trial_idx=trial_idx,
@@ -154,14 +144,11 @@ def run_trial(
 def run_study(study: StudyConfig) -> list[TrialResult]:
     """Execute all trials; results are identical for any worker count.
 
-    The baseline, and with it the scenario's shared energy tables, is looked up
-    once before the first trial. One worker runs the trials inline; more share a
-    thread pool.
+    One worker runs the trials inline; more share a thread pool.
     """
-    baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
 
     def one(idx: int) -> TrialResult:
-        return run_trial(study, sample_trial_config(study, idx), idx, baseline_ph)
+        return run_trial(study, sample_trial_config(study, idx), idx)
 
     if study.n_workers == 1:
         return [one(idx) for idx in range(study.n_trials)]

@@ -10,15 +10,12 @@ for small instances and is used to validate the greedy.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .energymodel import EnergyParams, bs_energy, sleep_energy
-from .errors import InstanceTooLargeError, InvalidArgumentError
+from .errors import InstanceTooLargeError, InvalidArgumentError, LoadExceedsCapacityError
 from .traffic import HourOrder, TrafficScenario, sort_hours
 
 _ORACLE_MAX_N = 20
@@ -61,7 +58,8 @@ class OffloadSchedule:
 
 
 def _hour_inputs(rates, capacities) -> tuple[np.ndarray, np.ndarray]:
-    """One hour's rates and capacities as non-empty, equal-length, finite 1-D float arrays."""
+    """One hour's rates and capacities as non-empty, equal-length, finite 1-D float arrays,
+    each rate in [0, capacity] and each capacity positive."""
     rates = np.asarray(rates, dtype=float)
     capacities = np.asarray(capacities, dtype=float)
     if rates.ndim != 1 or rates.size == 0 or capacities.shape != rates.shape:
@@ -69,62 +67,43 @@ def _hour_inputs(rates, capacities) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"need 1-D rates and capacities of one length > 0, got {shapes}")
     if not (np.isfinite(rates).all() and np.isfinite(capacities).all()):
         raise InvalidArgumentError("rates and capacities must be finite")
+    if np.any(capacities <= 0):
+        raise InvalidArgumentError("capacity must be positive")
+    if np.any(rates < 0):
+        raise InvalidArgumentError("rate must be >= 0")
+    if np.any(rates > capacities * (1 + 1e-9)):
+        raise LoadExceedsCapacityError("rate exceeds BS capacity")
     return rates, capacities
 
 
-class EnergyTables(NamedTuple):
-    """A scenario's trial-independent energies under one EnergyParams, read-only."""
-
-    active: np.ndarray  # (T, N): each BS's energy in each hour if it stays on
-    baseline_per_hour: np.ndarray  # (T,): each hour's energy with every BS on
-
-
-# each scenario's tables per EnergyParams; weak keys let an entry go with its scenario
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TABLES_LOCK = threading.Lock()
+def _baseline(order: HourOrder, params: EnergyParams) -> np.ndarray:
+    """(T,) energy of each hour with every BS on: bs_energy is linear in load."""
+    n = order.cum_load.shape[1]
+    return n * params.static_energy + params.full_load_dynamic * order.cum_load[:, -1]
 
 
-def energy_tables(scenario: TrafficScenario, params: EnergyParams) -> EnergyTables:
-    """The scenario's energy tables under params, built on first use.
-
-    They depend on nothing a trial draws, so every trial of a study, and any
-    later use of the same scenario and params, shares one copy.
-    """
-    with _TABLES_LOCK:  # the first trials of a pool would otherwise build it twice
-        per_params = _TABLES.setdefault(scenario, {})
-        tables = per_params.get(params)
-        if tables is None:
-            rates, capacities = scenario.rate_matrix, scenario.capacities
-            active = bs_energy(params, rates.T, capacities)
-            # summed down the (N, T) layout: active.sum(axis=1) would round differently
-            baseline = bs_energy(params, rates, capacities[:, None]).sum(axis=0)
-            active.flags.writeable = False
-            baseline.flags.writeable = False
-            tables = per_params[params] = EnergyTables(active, baseline)
-    return tables
-
-
-def _solve(
-    order: HourOrder, active_energy: np.ndarray, params: EnergyParams, cons: OffloadConstraints
-) -> OffloadSchedule:
-    """Greedy over every hour at once, given the hours' order and (T, N) active energies.
+def _solve(order: HourOrder, params: EnergyParams, cons: OffloadConstraints) -> OffloadSchedule:
+    """Greedy over every hour at once, given the hours' order.
 
     Per hour, the k lowest-ranked BSs sleep: k is the smaller of the active-count
     limit and the longest prefix of the order whose summed rate fits in c_haps.
+    Each sleeper saves static - e0 plus its dynamic term, whichever BSs sleep
+    with it, so an hour's energy is its baseline less the k sleepers' saving.
     The inputs are trusted: a TrafficScenario or _hour_inputs has checked them.
     """
-    n_hours, n = active_energy.shape
+    n_hours, n = order.rank.shape
     cum = order.cum_rate
     k = np.minimum(cons.max_offloadable(n), (cum <= cons.c_haps).sum(axis=1))
     active = order.rank >= k[:, None]
-    offloaded_rate = np.where(k > 0, cum[np.arange(n_hours), k - 1], 0.0)
-    # sum each hour's compressed active energies: a masked 2-D sum rounds differently
-    awake = np.array([e[on].sum() for e, on in zip(active_energy, active)])
+    last = (np.arange(n_hours), k - 1)  # the last sleeper's column; unused where k = 0
+    offloaded_rate = np.where(k > 0, cum[last], 0.0)
+    per_sleeper = params.static_energy - sleep_energy(params)
+    saved = np.where(k > 0, k * per_sleeper + params.full_load_dynamic * order.cum_load[last], 0.0)
     return OffloadSchedule(
         active=active,
         offloaded_rate=offloaded_rate,
         offloaded_count=k,
-        energy_per_hour=awake + k * sleep_energy(params),
+        energy_per_hour=_baseline(order, params) - saved,
     )
 
 
@@ -139,8 +118,7 @@ def offload_hour(
     carries at least as much traffic.
     """
     rates, capacities = _hour_inputs(rates, capacities)
-    order = sort_hours(rates[:, None])
-    s = _solve(order, bs_energy(params, rates, capacities)[None, :], params, cons)
+    s = _solve(sort_hours(rates[:, None], capacities), params, cons)
     return s.active[0], s.total_energy, float(s.offloaded_rate[0]), int(s.offloaded_count[0])
 
 
@@ -148,13 +126,13 @@ def offload_week(
     scenario: TrafficScenario, params: EnergyParams, cons: OffloadConstraints
 ) -> OffloadSchedule:
     """Apply the greedy solve independently to each of the 168 hours, in the
-    scenario's cached hour order and with its shared energy tables."""
-    return _solve(scenario.hour_order, energy_tables(scenario, params).active, params, cons)
+    scenario's cached hour order."""
+    return _solve(scenario.hour_order, params, cons)
 
 
 def baseline_energy_per_hour(scenario: TrafficScenario, params: EnergyParams) -> np.ndarray:
-    """Per-hour energy with every BS active (no offloading), as a shared read-only array."""
-    return energy_tables(scenario, params).baseline_per_hour
+    """Per-hour energy with every BS active (no offloading)."""
+    return _baseline(scenario.hour_order, params)
 
 
 def baseline_energy(scenario: TrafficScenario, params: EnergyParams) -> float:

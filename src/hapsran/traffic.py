@@ -105,23 +105,26 @@ class BSStats:
 
 
 class HourOrder(NamedTuple):
-    """Each hour's stable ascending rate order, as two read-only (T, N) arrays."""
+    """Each hour's stable ascending rate order, as three read-only (T, N) arrays."""
 
     rank: np.ndarray  # int32: rank[h, i] is BS i's position in hour h's order
     cum_rate: np.ndarray  # cum_rate[h, j]: summed rate of the j + 1 lowest BSs of hour h
+    cum_load: np.ndarray  # cum_load[h, j]: their summed rate / capacity, in the same order
 
 
-def sort_hours(rate_matrix: np.ndarray) -> HourOrder:
+def sort_hours(rate_matrix: np.ndarray, capacities: np.ndarray) -> HourOrder:
     """Rank the BSs of every hour of an (N, T) rate matrix (ties go to the lower index)."""
     by_hour = rate_matrix.T
     order = np.argsort(by_hour, axis=1, kind="stable")
     cum_rate = np.take_along_axis(by_hour, order, axis=1)
+    cum_load = cum_rate / capacities[order]  # the division bs_energy does
     np.cumsum(cum_rate, axis=1, out=cum_rate)
+    np.cumsum(cum_load, axis=1, out=cum_load)
     rank = np.empty(order.shape, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(order.shape[1], dtype=np.int32), axis=1)
-    rank.flags.writeable = False
-    cum_rate.flags.writeable = False
-    return HourOrder(rank, cum_rate)
+    for array in (rank, cum_rate, cum_load):
+        array.flags.writeable = False
+    return HourOrder(rank, cum_rate, cum_load)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +168,7 @@ class TrafficScenario:
     @cached_property
     def hour_order(self) -> HourOrder:
         """The trial-independent sort of every hour, built on first use."""
-        return sort_hours(self.rate_matrix)
+        return sort_hours(self.rate_matrix, self.capacities)
 
     @cached_property
     def hourly_demand(self) -> np.ndarray:

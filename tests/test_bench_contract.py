@@ -65,7 +65,11 @@ def test_study_calls_each_traced_trial_layer_once_per_trial(monkeypatch, workers
 
         return wrapper
 
-    names = ("offload_week", "sample_ue_population", "aggregate_capacity")
+    # baseline_energy_per_hour is priced per trial from the cached load prefix sums, so
+    # offload.baseline_calls reads n_trials per study call
+    names = (
+        "offload_week", "baseline_energy_per_hour", "sample_ue_population", "aggregate_capacity"
+    )
     for name in names:
         monkeypatch.setattr(montecarlo, name, counting(name))
     study = StudyConfig(

@@ -132,7 +132,8 @@ class TestRunStudy:
         for a, b in zip(inline, pooled, strict=True):
             np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
 
-    def test_energy_tables_built_once_per_study(self, study, monkeypatch):
+    def test_study_makes_no_bs_energy_call(self, study, monkeypatch):
+        # hours are priced from the scenario's load prefix sums, not from per-BS energies
         calls = []  # list.append is atomic, so worker threads can share it
         real_bs_energy = offload.bs_energy
 
@@ -141,27 +142,22 @@ class TestRunStudy:
             return real_bs_energy(*args, **kwargs)
 
         monkeypatch.setattr(offload, "bs_energy", counting)
-        counts = []
         for n_trials in (4, 8):
             for workers in (1, 2):
-                fresh = TrafficScenario(  # a scenario of its own, so no earlier study's tables
+                fresh = TrafficScenario(  # a scenario of its own, so its hour order is built here
                     rate_matrix=study.scenario.rate_matrix, stats=study.scenario.stats
                 )
-                calls.clear()
-                run_study(
+                results = run_study(
                     dataclasses.replace(study, scenario=fresh, n_trials=n_trials, n_workers=workers)
                 )
-                counts.append(len(calls))
-        assert counts[0] > 0
-        assert counts == [counts[0]] * 4
+                assert len(results) == n_trials
+        assert calls == []
 
-    def test_trials_share_read_only_baseline(self, study):
-        results = run_study(study)
-        shared = results[0].baseline_energy_per_hour
-        assert all(r.baseline_energy_per_hour is shared for r in results)
-        assert shared is offload.energy_tables(study.scenario, study.energy).baseline_per_hour
-        with pytest.raises(ValueError):
-            shared[0] = 0.0
+    def test_every_trial_baseline_is_baseline_energy_per_hour(self, study):
+        expected = offload.baseline_energy_per_hour(study.scenario, study.energy)
+        for r in run_study(study):
+            assert r.baseline_energy_per_hour.tobytes() == expected.tobytes()
+            assert r.baseline_energy == float(expected.sum())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_study_does_not_pin_its_scenario(self, study, workers):

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from hapsran import (
     EnergyParams,
     InstanceTooLargeError,
     InvalidArgumentError,
+    LoadExceedsCapacityError,
     OffloadConstraints,
     baseline_energy,
     bs_energy,
@@ -25,15 +24,38 @@ from hapsran.traffic import HOURS_PER_WEEK, BSStats, TrafficScenario, percentile
 
 
 def reference_hour(rates, caps, params, cons):
-    """One hour solved on its own: stable sort, prefix sums, searchsorted."""
+    """One hour solved on its own: stable sort, prefix sums, searchsorted.
+
+    Returns (active, energy, offloaded rate, k, per-BS energy, baseline). energy is
+    the baseline less the k sleepers' saving, from this sort's own prefix sums of
+    rate / capacity; per-BS energy adds up each BS's own energy instead.
+    """
     order = np.argsort(rates, kind="stable")
     cum = np.cumsum(rates[order])
+    cum_load = np.cumsum(rates[order] / caps[order])
     k = min(cons.max_offloadable(rates.size), int(np.searchsorted(cum, cons.c_haps, side="right")))
     active = np.ones(rates.size, dtype=bool)
     active[order[:k]] = False
     off_rate = float(cum[k - 1]) if k > 0 else 0.0
-    energy = float(bs_energy(params, rates[active], caps[active]).sum() + k * sleep_energy(params))
-    return active, energy, off_rate, k
+    static, dyn = params.static_energy, params.full_load_dynamic
+    baseline = rates.size * static + dyn * cum_load[-1]
+    saved = k * (static - params.e0) + dyn * cum_load[k - 1] if k > 0 else 0.0
+    per_bs = float(bs_energy(params, rates[active], caps[active]).sum() + k * sleep_energy(params))
+    return active, float(baseline - saved), off_rate, k, per_bs, float(baseline)
+
+
+def rounding_bound(n, baseline):
+    """How far two float evaluations of one hour's energy, each >= 0 and <= baseline, may differ.
+
+    With u = eps / 2 and each load rate / capacity rounded alike on both sides:
+    - the per-BS sum rounds each BS's static + dyn * load twice (2u of its energy)
+      and adds at most N + 1 terms (N u of the total): (N + 2) u * baseline;
+    - baseline less saving sums at most N loads in each of two prefix sums
+      (N u each), rounds dyn * sum, N * static, k * (static - e0) and their sums
+      (4u), and subtracts (u): (2N + 5) u * baseline.
+    Together (3N + 7) u = (1.5N + 3.5) eps, within (2N + 4) eps for every N >= 1.
+    """
+    return (2 * n + 4) * np.finfo(float).eps * baseline
 
 
 def scenario_from(rates):
@@ -109,6 +131,31 @@ class TestOffloadHour:
         (rates if where == "rates" else caps)[0] = bad
         with pytest.raises(InvalidArgumentError):
             solver(rates, caps, energy, OffloadConstraints(min_active_frac=0.0, c_haps=2.0))
+
+    @pytest.mark.parametrize("solver", [offload_hour, exact_oracle_hour])
+    @pytest.mark.parametrize(
+        "rate, cap, error",
+        [
+            (1.0, 0.0, InvalidArgumentError),
+            (1.0, -5.0, InvalidArgumentError),
+            (-1.0, 10.0, InvalidArgumentError),
+            (10.5, 10.0, LoadExceedsCapacityError),
+        ],
+        ids=["zero-capacity", "negative-capacity", "negative-rate", "overload"],
+    )
+    def test_out_of_domain_hour_rejected(self, energy, solver, rate, cap, error, monkeypatch):
+        # _hour_inputs rejects these itself; offload_hour computes no per-BS energy
+        monkeypatch.setattr(offload, "bs_energy", None)
+        rates, caps = np.array([1.0, 2.0, 3.0]), np.full(3, 10.0)
+        rates[1], caps[1] = rate, cap
+        with pytest.raises(error):
+            solver(rates, caps, energy, OffloadConstraints(min_active_frac=0.0, c_haps=2.0))
+
+    def test_offload_hour_computes_no_per_bs_energy(self, energy, monkeypatch):
+        monkeypatch.setattr(offload, "bs_energy", None)
+        rates, caps = np.array([1.0, 2.0, 3.0]), np.full(3, 10.0)
+        _, e, _, k = offload_hour(rates, caps, energy, OffloadConstraints(0.0, c_haps=3.0))
+        assert k == 2 and e > 0
 
     def test_nan_c_haps_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -209,11 +256,12 @@ class TestOneSolver:
         schedule = offload_week(scenario, energy, cons)
         caps = scenario.capacities
         for h in range(HOURS_PER_WEEK):
-            expected = reference_hour(rates[:, h], caps, energy, cons)
-            np.testing.assert_array_equal(schedule.active[h], expected[0])
-            assert schedule.energy_per_hour[h] == expected[1]
-            assert schedule.offloaded_rate[h] == expected[2]
-            assert schedule.offloaded_count[h] == expected[3]
+            active, e, off_rate, k, per_bs, base = reference_hour(rates[:, h], caps, energy, cons)
+            np.testing.assert_array_equal(schedule.active[h], active)
+            assert schedule.energy_per_hour[h] == e
+            assert schedule.offloaded_rate[h] == off_rate
+            assert schedule.offloaded_count[h] == k
+            assert abs(e - per_bs) <= rounding_bound(n, base)
         active, e, off_rate, k = offload_hour(rates[:, h0], caps, energy, cons)
         np.testing.assert_array_equal(active, schedule.active[h0])
         assert (e, off_rate, k) == (
@@ -241,11 +289,29 @@ class TestOneSolver:
             schedule = offload_week(scenario, energy, cons)
             assert scenario.hour_order is order
             for h in range(HOURS_PER_WEEK):
-                active, e, off_rate, k = reference_hour(rates[:, h], caps, energy, cons)
+                active, e, off_rate, k, per_bs, base = reference_hour(
+                    rates[:, h], caps, energy, cons
+                )
                 np.testing.assert_array_equal(schedule.active[h], active)
                 assert schedule.energy_per_hour[h] == e
                 assert schedule.offloaded_rate[h] == off_rate
                 assert schedule.offloaded_count[h] == k
+                assert abs(e - per_bs) <= rounding_bound(n, base)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25))
+    @settings(max_examples=30, deadline=None)
+    def test_sleepers_saving_only_their_dynamic_term(self, seed, n):
+        # with no static term above e0, every BS asleep leaves N * e0, up to rounding
+        params = EnergyParams(e_bb=0.0, e_tran=0.0, e_pa=0.0)
+        rng = np.random.default_rng(seed)
+        scenario = scenario_from(rng.uniform(0, 10, (n, HOURS_PER_WEEK)))
+        cons = OffloadConstraints(min_active_frac=0.0, c_haps=math.inf)
+        schedule = offload_week(scenario, params, cons)
+        baseline = baseline_energy_per_hour(scenario, params)
+        assert (schedule.offloaded_count == n).all()
+        assert (schedule.energy_per_hour <= baseline).all()
+        gap = np.abs(schedule.energy_per_hour - n * params.e0)
+        assert (gap <= rounding_bound(n, baseline)).all()
 
 
 class TestScenarioCaches:
@@ -259,13 +325,38 @@ class TestScenarioCaches:
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
+    def test_cum_load_built_once_and_read_only(self, small_scenario, energy, monkeypatch):
+        # the per-scenario load prefix sums serve every EnergyParams; energy needs no table
+        cum_load = small_scenario.hour_order.cum_load
+        assert cum_load.shape == (HOURS_PER_WEEK, small_scenario.n_bs)
+        assert not cum_load.flags.writeable
+        with pytest.raises(ValueError):
+            cum_load[0, 0] = 0
+        monkeypatch.setattr(offload, "bs_energy", None)
+        cons = OffloadConstraints(min_active_frac=0.0, c_haps=5.0)
+        for params in (energy, EnergyParams(e0=0.3, eta=0.5)):
+            baseline_energy_per_hour(small_scenario, params)
+            offload_week(small_scenario, params, cons)
+            assert small_scenario.hour_order.cum_load is cum_load
+
     def test_hour_order_is_the_stable_sort(self, small_scenario):
-        rates = small_scenario.rate_matrix
+        rates, caps = small_scenario.rate_matrix, small_scenario.capacities
         order = small_scenario.hour_order
         for h in (0, 50, 167):
             ascending = np.argsort(rates[:, h], kind="stable")
             np.testing.assert_array_equal(order.rank[h, ascending], np.arange(small_scenario.n_bs))
             np.testing.assert_array_equal(order.cum_rate[h], np.cumsum(rates[ascending, h]))
+            loads = rates[ascending, h] / caps[ascending]
+            np.testing.assert_array_equal(order.cum_load[h], np.cumsum(loads))
+
+    def test_baseline_is_the_per_bs_energy_sum(self, small_scenario):
+        rates, caps = small_scenario.rate_matrix, small_scenario.capacities
+        for params in (EnergyParams(), EnergyParams(e0=0.3, eta=0.5)):
+            per_hour = baseline_energy_per_hour(small_scenario, params)
+            expected = bs_energy(params, rates, caps[:, None]).sum(axis=0)
+            assert per_hour.shape == (HOURS_PER_WEEK,)
+            bound = rounding_bound(small_scenario.n_bs, expected)
+            assert (np.abs(per_hour - expected) <= bound).all()
 
     def test_hourly_demand_is_each_column_sum(self, small_scenario):
         demand = small_scenario.hourly_demand
@@ -279,35 +370,6 @@ class TestScenarioCaches:
         assert "hour_order" not in vars(twin)
         assert twin.hour_order is not small_scenario.hour_order
         np.testing.assert_array_equal(twin.hour_order.rank, small_scenario.hour_order.rank)
-
-
-class TestEnergyTables:
-    def test_built_once_and_read_only(self, small_scenario, energy):
-        tables = offload.energy_tables(small_scenario, energy)
-        assert offload.energy_tables(small_scenario, EnergyParams()) is tables
-        assert baseline_energy_per_hour(small_scenario, energy) is tables.baseline_per_hour
-        assert tables.active.shape == (HOURS_PER_WEEK, small_scenario.n_bs)
-        for array in tables:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
-
-    def test_values_are_the_per_call_energies(self, small_scenario):
-        params = EnergyParams(e0=0.3, eta=0.5)
-        rates, caps = small_scenario.rate_matrix, small_scenario.capacities
-        tables = offload.energy_tables(small_scenario, params)
-        assert np.array_equal(tables.active, bs_energy(params, rates.T, caps))
-        expected = bs_energy(params, rates, caps[:, None]).sum(axis=0)
-        assert tables.baseline_per_hour.tobytes() == expected.tobytes()
-        assert offload.energy_tables(small_scenario, EnergyParams()) is not tables
-
-    def test_an_entry_goes_with_its_scenario(self, small_scenario, energy):
-        twin = TrafficScenario(rate_matrix=small_scenario.rate_matrix, stats=small_scenario.stats)
-        offload.energy_tables(twin, energy)
-        ref = weakref.ref(twin)
-        del twin
-        gc.collect()
-        assert ref() is None
 
 
 class TestBaseline:
