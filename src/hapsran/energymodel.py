@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import scalar_or_array
+from ._numeric import require_finite, scalar_or_array
 from .errors import InvalidArgumentError, LoadExceedsCapacityError
 
 
@@ -27,6 +27,7 @@ class EnergyParams:
     dt_s: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.e0, self.e_bb, self.e_tran, self.e_pa) < 0:
             raise InvalidArgumentError("energy components must be >= 0")
         if not (0 < self.eta <= 1):

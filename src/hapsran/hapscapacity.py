@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linkbudget import (
+    _DB_TO_LN,
     ChannelTables,
     LinkParams,
     building_entry_loss_db,
@@ -152,8 +153,8 @@ def ue_rates_mbps(
     gain = tx_array_gain_dbi(params.g_element_dbi, params.n_rows, params.m_cols)
     np.subtract(params.p_tx_dbm + gain + params.g_rx_dbi, rate, out=rate)
     rate -= params.noise_dbm
-    rate /= 10
-    np.power(10.0, rate, out=rate)
+    rate *= _DB_TO_LN
+    np.exp(rate, out=rate)
     rate += 1
     np.log2(rate, out=rate)
     rate *= params.bandwidth_hz

@@ -19,9 +19,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._numeric import scalar_or_array
+from ._numeric import require_finite, scalar_or_array
 from .errors import InvalidArgumentError
 
 _DEFAULT_TABLE_FILE = "channel_tables_s_band_dense_urban.json"
@@ -30,6 +29,91 @@ _DEFAULT_TABLE_FILE = "channel_tables_s_band_dense_urban.json"
 _BEL_ELEVATION_SLOPE = 0.212  # dB per degree of path elevation
 _BEL_FLOOR_DB = -3.0
 _BEL_CLASSES = ("traditional", "thermally_efficient")  # the building classes the model uses
+
+# 10 ** (x / 10) as exp(x * _DB_TO_LN): one exp is cheaper than a power of 10
+_DB_TO_LN = math.log(10) / 10
+
+# Cephes ndtri: a rational in (p - 0.5)**2 for exp(-2) < p <= 1 - exp(-2), and in
+# 1 / sqrt(-2 log y), y = min(p, 1 - p), on the tails, with one coefficient set for
+# sqrt(-2 log y) < 8 and one beyond; each q omits its leading coefficient, which is 1
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _rational(x: np.ndarray, p: tuple[float, ...], q: tuple[float, ...]) -> np.ndarray:
+    """x * P(x) / Q(x) by Horner steps, in Cephes' order: polevl, times x, over p1evl."""
+    num = x * p[0]
+    num += p[1]
+    for c in p[2:]:
+        num *= x
+        num += c
+    num *= x
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    num /= den
+    return num
+
+
+def _ndtri(p) -> np.ndarray:
+    """Inverse of the standard normal CDF for 0 < p < 1, as an array of p's shape.
+
+    The central rational is evaluated for every p (it stays finite up to |p - 0.5| = 0.5)
+    and the tails overwrite it through one index array: on randomly drawn p that is
+    cheaper than selecting either branch with a boolean mask.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1)
+    y = flat - 0.5
+    x = _rational(y * y, _NDTRI_P0, _NDTRI_Q0)
+    x *= y
+    x += y
+    x *= _SQRT_2PI
+    tail = np.flatnonzero((flat <= _EXP_M2) | (flat > 1 - _EXP_M2))
+    if tail.size:
+        pt = flat[tail]
+        s = np.log(np.minimum(pt, 1 - pt))
+        s *= -2.0
+        np.sqrt(s, out=s)
+        z = 1 / s
+        x1 = _rational(z, _NDTRI_P1, _NDTRI_Q1)
+        far = np.flatnonzero(s >= 8)
+        if far.size:
+            x1[far] = _rational(z[far], _NDTRI_P2, _NDTRI_Q2)
+        xt = s - np.log(s) / s
+        xt -= x1
+        x[tail] = np.copysign(xt, pt - 0.5)
+    return x.reshape(p.shape)
 
 
 @dataclass(frozen=True)
@@ -151,6 +235,7 @@ class LinkParams:
     bandwidth_hz: float = 20e6
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_rows < 1 or self.m_cols < 1:
             raise InvalidArgumentError("array dimensions must be >= 1")
         if self.bandwidth_hz <= 0 or self.haps_height_km <= 0 or self.f_c_ghz <= 0:
@@ -192,10 +277,12 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
     fixed floor; the result is strictly increasing in p.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or np.any(p >= 1):
+    if not ((p > 0) & (p < 1)).all():  # NaN fails both comparisons
         raise InvalidArgumentError("p must be in the open interval (0, 1)")
-    if f_c_ghz <= 0:
-        raise InvalidArgumentError("frequency must be positive")
+    if not 0 < f_c_ghz < math.inf:
+        raise InvalidArgumentError(f"frequency must be positive and finite, got {f_c_ghz}")
+    if not math.isfinite(elevation_deg):
+        raise InvalidArgumentError(f"elevation must be finite, got {elevation_deg}")
     lf = math.log10(f_c_ghz)
     l_h = coeffs.r + coeffs.s * lf + coeffs.t * lf * lf
     l_e = _BEL_ELEVATION_SLOPE * abs(elevation_deg)
@@ -203,18 +290,18 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
     mu2 = coeffs.w + coeffs.x * lf
     sigma1 = coeffs.u + coeffs.v * lf
     sigma2 = coeffs.y + coeffs.z * lf
-    # evaluated in two buffers, in the operation order of
-    # 10 * log10(10 ** (0.1 * (mu1 + sigma1 * z)) + 10 ** (0.1 * (mu2 + sigma2 * z)) + floor);
-    # out= keeps a 0-d p an array, so it takes the same path
-    z = ndtri(p, out=np.empty_like(p))
+    # evaluated in two buffers, in the operation order of 10 * log10(exp((mu1 + sigma1 * z)
+    # * _DB_TO_LN) + exp((mu2 + sigma2 * z) * _DB_TO_LN) + exp(floor * _DB_TO_LN));
+    # _ndtri keeps a 0-d p an array, so it takes the same path
+    z = _ndtri(p)
     power = np.multiply(z, sigma1, out=np.empty_like(z))
     z *= sigma2
     for term, mu in ((power, mu1), (z, mu2)):
         term += mu
-        term *= 0.1
-        np.power(10.0, term, out=term)
+        term *= _DB_TO_LN
+        np.exp(term, out=term)
     power += z
-    power += 10 ** (0.1 * _BEL_FLOOR_DB)
+    power += math.exp(_BEL_FLOOR_DB * _DB_TO_LN)
     np.log10(power, out=power)
     power *= 10
     return scalar_or_array(power)
@@ -229,6 +316,6 @@ def snr_db(params: LinkParams, pl_db) -> float:
 
 def ue_rate_bps(params: LinkParams, snr_db):
     """Shannon rate over the configured channel bandwidth."""
-    snr_lin = 10 ** (np.asarray(snr_db, dtype=float) / 10)
+    snr_lin = np.exp(np.asarray(snr_db, dtype=float) * _DB_TO_LN)
     out = params.bandwidth_hz * np.log2(1 + snr_lin)
     return scalar_or_array(out)

@@ -115,17 +115,29 @@ def write_figure3_csv(path: str | Path, results: list[TrialResult]) -> None:
 def write_figure45_csv(
     path: str | Path, results: list[TrialResult], scenario: TrafficScenario
 ) -> None:
-    rows = (
-        [
-            r.trial_idx,
-            h,
-            _fmt(offloaded_fraction(r, scenario, h)),
-            _fmt(capacity_utilization(r, scenario, h)),
-        ]
-        for r in results
-        for h in range(HOURS_PER_WEEK)
-    )
-    _write_csv(path, ["trial", "hour", "offloaded_frac", "utilization"], rows)
+    """Each trial's offloaded_fraction and capacity_utilization for every hour.
+
+    Both ratios are taken for a whole trial at once and its 168 rows written as one
+    string, with the bytes csv.writer gives for the same cells.
+    """
+    demand = scenario.hourly_demand
+    zero = np.flatnonzero(demand <= 0)
+    if zero.size:
+        raise UndefinedMetricError(f"zero traffic demand at hour {zero[0]}")
+    hours = range(HOURS_PER_WEEK)
+    with Path(path).open("w", newline="") as fh:
+        fh.write("trial,hour,offloaded_frac,utilization\r\n")
+        for r in results:
+            capacity = r.c_haps_mbps + r.active_capacity_per_hour
+            zero = np.flatnonzero(capacity <= 0)
+            if zero.size:
+                raise UndefinedMetricError(f"zero available capacity at hour {zero[0]}")
+            offloaded = (r.offloaded_rate_per_hour / demand).tolist()
+            utilization = (demand / capacity).tolist()
+            t = r.trial_idx
+            fh.write("".join(
+                f"{t},{h},{a!r},{b!r}\r\n" for h, a, b in zip(hours, offloaded, utilization)
+            ))
 
 
 def write_trials_csv(path: str | Path, results: list[TrialResult]) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import require_finite
 from .energymodel import EnergyParams
 from .errors import InvalidArgumentError
 from .hapscapacity import (
@@ -53,6 +54,7 @@ class StudyConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_trials < 1:
             raise InvalidArgumentError("n_trials must be >= 1")
         for lo, hi in (self.indoor_range, self.traditional_range):

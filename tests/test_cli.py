@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hapsran
 from hapsran import (
     EnergyParams,
     OffloadConstraints,
@@ -253,6 +256,24 @@ class TestDefaults:
         assert manifest["config_sha256"] == metrics.study_config_digest(study)
 
 
+class TestRuntimeDependencies:
+    def test_cli_imports_no_scipy(self, config_file, scenario_dir, tmp_path):
+        # scipy is a test dependency only; a fresh interpreter shows what the CLI itself imports
+        script = (
+            "import sys, hapsran.cli\n"
+            "hapsran.cli.load_channel_tables()\n"
+            "assert 'scipy' not in sys.modules, 'imported with hapsran.cli'\n"
+            "assert hapsran.cli.main(sys.argv[1:]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'imported by hapsran run'\n"
+        )
+        argv = ["run", "--config", config_file, "--scenario", scenario_dir, "--out", str(tmp_path)]
+        env = {**os.environ, "PYTHONPATH": str(Path(hapsran.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestMalformedInputsExit2:
     def run(self, config_file, scenario_dir, tmp_path, *extra):
         argv = ["run", "--config", config_file, "--scenario", scenario_dir,
@@ -280,6 +301,28 @@ class TestMalformedInputsExit2:
     def test_env_stray_percent(self, config_file, scenario_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HAPSRAN_ENERGY_ETA", "5%")
         assert self.run(config_file, scenario_dir, tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("link", "haps_height_km", "inf"),
+            ("link", "bandwidth_hz", "inf"),
+            ("link", "g_rx_dbi", "-inf"),
+            ("link", "p_tx_dbm", "inf"),
+            ("link", "f_c_ghz", "nan"),
+            ("link", "noise_dbm", "nan"),
+            ("energy", "p_tx_w", "inf"),
+            ("energy", "e0", "inf"),
+            ("study", "ue_density_per_km2", "inf"),
+        ],
+    )
+    def test_env_value_not_finite(
+        self, config_file, scenario_dir, tmp_path, capsys, monkeypatch, section, key, value
+    ):
+        # parsed as a float, each would run on to a plausible wrong number or a late failure
+        monkeypatch.setenv(f"HAPSRAN_{section.upper()}_{key.upper()}", value)
+        assert self.run(config_file, scenario_dir, tmp_path) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, env_key, names",

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtri
@@ -24,7 +25,7 @@ from hapsran import (
     ue_rate_bps,
 )
 from hapsran.hapscapacity import ue_rates_mbps
-from hapsran.linkbudget import _BEL_ELEVATION_SLOPE, _BEL_FLOOR_DB
+from hapsran.linkbudget import _BEL_ELEVATION_SLOPE, _BEL_FLOOR_DB, _DB_TO_LN, _EXP_M2, _ndtri
 
 
 class TestFspl:
@@ -309,16 +310,20 @@ class TestTables:
 
 
 def reference_entry_loss_db(coeffs, f_c_ghz, elevation_deg, p):
-    """Entry loss in the plain array formulation that building_entry_loss_db evaluates in place."""
+    """Entry loss in the plain array formulation that building_entry_loss_db evaluates in place.
+
+    Each dB term goes to linear units as exp(x * ln(10) / 10), the library's form of
+    10 ** (x / 10); TestNdtri checks _ndtri against scipy on its own.
+    """
     lf = math.log10(f_c_ghz)
     mu1 = coeffs.r + coeffs.s * lf + coeffs.t * lf * lf + _BEL_ELEVATION_SLOPE * abs(elevation_deg)
     mu2 = coeffs.w + coeffs.x * lf
     sigma1 = coeffs.u + coeffs.v * lf
     sigma2 = coeffs.y + coeffs.z * lf
-    z = ndtri(p)
-    power = 10 ** (0.1 * (mu1 + sigma1 * z))
-    power += 10 ** (0.1 * (mu2 + sigma2 * z))
-    power += 10 ** (0.1 * _BEL_FLOOR_DB)
+    z = _ndtri(p)
+    power = np.exp((mu1 + sigma1 * z) * _DB_TO_LN)
+    power += np.exp((mu2 + sigma2 * z) * _DB_TO_LN)
+    power += math.exp(_BEL_FLOOR_DB * _DB_TO_LN)
     return 10 * np.log10(power)
 
 
@@ -432,7 +437,79 @@ class TestInPlaceLinkBudget:
         assert type(loss) is float
         assert loss == pytest.approx(float(reference_entry_loss_db(coeffs, 2, 60, p)))
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, [0.5, 0.0], [1.0, 0.5], np.array(0.0)])
+    @pytest.mark.parametrize(
+        "p", [0.0, 1.0, [0.5, 0.0], [1.0, 0.5], np.array(0.0), math.nan, [0.5, math.nan]]
+    )
     def test_entry_loss_rejects_the_interval_ends(self, tables, p):
         with pytest.raises(InvalidArgumentError, match="open interval"):
             building_entry_loss_db(tables.bel["traditional"], 2, 60, p)
+
+    @pytest.mark.parametrize(
+        "f_c_ghz, elevation, match",
+        [
+            (math.inf, 60, "frequency"),
+            (math.nan, 60, "frequency"),
+            (2, math.nan, "elevation"),
+            (2, -math.inf, "elevation"),
+        ],
+    )
+    def test_entry_loss_rejects_non_finite_settings(self, tables, f_c_ghz, elevation, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            building_entry_loss_db(tables.bel["traditional"], f_c_ghz, elevation, [0.5])
+
+
+def assert_matches_scipy(p):
+    """_ndtri(p) equals scipy's ndtri bit for bit on the central branch, and within
+    8 ULP on the tails, where np.log and the C library's log may round apart;
+    it raises no RuntimeWarning."""
+    p = np.asarray(p, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _ndtri(p)
+    want = ndtri(p)
+    assert got.shape == p.shape
+    central = (p > _EXP_M2) & (p <= 1 - _EXP_M2)
+    assert np.array_equal(got[central], want[central])
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+
+
+class TestNdtri:
+    """The numpy port of Cephes ndtri against scipy.special.ndtri, the routine it replaces."""
+
+    def test_seeded_uniform_draws(self):
+        assert_matches_scipy(np.random.default_rng(0).random(200_000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_open_interval(self, p):
+        assert_matches_scipy(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-300.0, math.log10(_EXP_M2)), st.booleans())
+    def test_log_uniform_tails(self, exponent, upper):
+        p = 10.0**exponent
+        if upper:
+            p = 1 - p
+            assume(p < 1)
+        assert_matches_scipy(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.nextafter(_EXP_M2, 0),
+            _EXP_M2,
+            np.nextafter(_EXP_M2, 1),
+            np.nextafter(1 - _EXP_M2, 0),
+            1 - _EXP_M2,
+            np.nextafter(1 - _EXP_M2, 1),
+            5e-324,
+            np.nextafter(1, 0),
+            1e-12,
+            1 - 1e-12,
+            1e-20,  # below exp(-32) = 1.27e-14, so sqrt(-2 log p) >= 8: the far-tail rational
+            0.5,
+        ],
+    )
+    def test_named_edges(self, p):
+        assert_matches_scipy([p])
+        assert_matches_scipy(p)  # 0-d in, 0-d out

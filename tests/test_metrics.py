@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,44 @@ class TestCsvWriters:
         f45 = (tmp_path / "f45.csv").read_text().splitlines()
         assert f45[0] == "trial,hour,offloaded_frac,utilization"
         assert len(f45) == 1 + len(results) * HOURS_PER_WEEK
+
+    def test_figure45_bytes_are_the_per_hour_metrics(self, study_results, tmp_path):
+        # the writer takes a trial's ratios as arrays; the scalar metrics through csv.writer
+        # are the reference for its bytes
+        study, results = study_results
+        write_figure45_csv(tmp_path / "f45.csv", results, study.scenario)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["trial", "hour", "offloaded_frac", "utilization"])
+        for r in results:
+            for h in range(HOURS_PER_WEEK):
+                writer.writerow([
+                    r.trial_idx,
+                    h,
+                    repr(offloaded_fraction(r, study.scenario, h)),
+                    repr(capacity_utilization(r, study.scenario, h)),
+                ])
+        assert (tmp_path / "f45.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_figure45_names_an_hour_without_capacity(self, small_scenario, tmp_path):
+        capacity = np.full(HOURS_PER_WEEK, 60.0)
+        capacity[5] = 0.0
+        result = toy_result(
+            np.ones(HOURS_PER_WEEK),
+            np.full(HOURS_PER_WEEK, 2.0),
+            c_haps_mbps=0.0,
+            active_capacity_per_hour=capacity,
+        )
+        with pytest.raises(UndefinedMetricError, match="capacity at hour 5"):
+            write_figure45_csv(tmp_path / "f45.csv", [result], small_scenario)
+
+    def test_figure45_names_an_hour_without_demand(self, small_scenario, tmp_path):
+        rates = np.array(small_scenario.rate_matrix)
+        rates[:, 7] = 0.0
+        quiet = TrafficScenario(rate_matrix=rates, stats=small_scenario.stats)
+        result = toy_result(np.ones(HOURS_PER_WEEK), np.full(HOURS_PER_WEEK, 2.0))
+        with pytest.raises(UndefinedMetricError, match="demand at hour 7"):
+            write_figure45_csv(tmp_path / "f45.csv", [result], quiet)
 
 
 class TestConfigDigest:
