@@ -53,7 +53,6 @@ from .traffic import (
     generate_base_traces,
     generate_target_stats,
     load_scenario,
-    match_trace,
     save_scenario,
     scale_trace,
 )

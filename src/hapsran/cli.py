@@ -226,10 +226,10 @@ def cmd_trial(args) -> int:
         )
     lo, hi = study.indoor_range
     if not lo <= args.indoor <= hi:
-        raise InvalidArgumentError(f"indoor fraction {args.indoor} outside ({lo}, {hi})")
+        raise InvalidArgumentError(f"indoor fraction {args.indoor} outside [{lo}, {hi}]")
     lo, hi = study.traditional_range
     if not lo <= args.traditional <= hi:
-        raise InvalidArgumentError(f"traditional share {args.traditional} outside ({lo}, {hi})")
+        raise InvalidArgumentError(f"traditional share {args.traditional} outside [{lo}, {hi}]")
     trial_cfg = replace(
         sample_trial_config(study, 0),
         elevation_deg=args.elevation,

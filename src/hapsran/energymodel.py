@@ -8,6 +8,7 @@ normalized units: full load costs 1.7 and sleep costs 0.2 per hour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ class EnergyParams:
             raise InvalidArgumentError(f"eta must be in (0,1], got {self.eta}")
         if self.p_tx_w <= 0 or self.dt_s <= 0:
             raise InvalidArgumentError("p_tx_w and dt_s must be positive")
+        # each setting is finite, but their sum or product can still overflow
+        if not math.isfinite(self.static_energy):
+            raise InvalidArgumentError(
+                f"[energy] e0 + e_bb + e_tran + e_pa overflows to {self.static_energy} ({self})"
+            )
+        if not math.isfinite(self.full_load_dynamic):
+            raise InvalidArgumentError(
+                f"[energy] p_tx_w * dt_s / eta overflows to {self.full_load_dynamic} ({self})"
+            )
 
     @property
     def static_energy(self) -> float:

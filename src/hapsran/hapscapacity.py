@@ -179,13 +179,20 @@ def aggregate_capacity(
     """
     if len(pop) == 0:
         raise InvalidArgumentError("UE population is empty")
-    rates = ue_rates_mbps(params, tables, pop, use_shadow_fading, use_building_entry_loss)
-    if aggregation == "mean":
-        per_carrier = float(rates.mean())
-    elif aggregation == "median":
-        per_carrier = float(np.median(rates))
-    elif aggregation == "p5":
-        per_carrier = float(np.percentile(rates, 5))
-    else:
+    if aggregation not in AGGREGATIONS:
         raise InvalidArgumentError(f"aggregation must be one of {AGGREGATIONS}")
-    return cfg.n_carriers * per_carrier
+    # finite but extreme [link] settings can overflow a UE's rate; the result is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = ue_rates_mbps(params, tables, pop, use_shadow_fading, use_building_entry_loss)
+        if aggregation == "mean":
+            per_carrier = float(rates.mean())
+        elif aggregation == "median":
+            per_carrier = float(np.median(rates))
+        else:
+            per_carrier = float(np.percentile(rates, 5))
+    c_haps = cfg.n_carriers * per_carrier
+    if not math.isfinite(c_haps):
+        raise InvalidArgumentError(
+            f"c_haps is {c_haps} Mbps: the [link] settings overflow the link budget ({params})"
+        )
+    return c_haps

@@ -57,22 +57,6 @@ def energy_saving(result: TrialResult, mask: PeriodMask) -> float:
     return 1.0 - float(result.energy_per_hour[idx].sum()) / base
 
 
-def offloaded_fraction(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
-    """Share of the hour's total demand carried by the HAPS."""
-    total = float(scenario.hourly_demand[hour])
-    if total <= 0:
-        raise UndefinedMetricError(f"zero traffic demand at hour {hour}")
-    return float(result.offloaded_rate_per_hour[hour]) / total
-
-
-def capacity_utilization(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
-    """Total demand over combined HAPS plus active terrestrial capacity."""
-    denom = result.c_haps_mbps + float(result.active_capacity_per_hour[hour])
-    if denom <= 0:
-        raise UndefinedMetricError(f"zero available capacity at hour {hour}")
-    return float(scenario.hourly_demand[hour]) / denom
-
-
 def sorted_saving_curves(
     results: list[TrialResult], masks: tuple[PeriodMask, ...] = DEFAULT_MASKS
 ) -> dict[str, np.ndarray]:
@@ -115,7 +99,8 @@ def write_figure3_csv(path: str | Path, results: list[TrialResult]) -> None:
 def write_figure45_csv(
     path: str | Path, results: list[TrialResult], scenario: TrafficScenario
 ) -> None:
-    """Each trial's offloaded_fraction and capacity_utilization for every hour.
+    """Each trial's hourly offloaded fraction (offloaded rate / demand) and capacity
+    utilization (demand / (c_haps + the active BSs' capacity)).
 
     Both ratios are taken for a whole trial at once and its 168 rows written as one
     string, with the bytes csv.writer gives for the same cells.

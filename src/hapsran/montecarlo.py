@@ -9,6 +9,7 @@ independent, order-insensitive and safe to run in parallel.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from .hapscapacity import (
 )
 from .linkbudget import ChannelTables, LinkParams
 from .offload import OffloadConstraints, baseline_energy_per_hour, offload_week
-from .traffic import TrafficScenario
+from .traffic import HOURS_PER_WEEK, TrafficScenario
 
 # stream tags keeping config draws and trial draws disjoint
 _CONFIG_STREAM = 1
@@ -64,6 +65,14 @@ class StudyConfig:
             raise InvalidArgumentError("elevation_set must be non-empty")
         if self.n_workers < 1:
             raise InvalidArgumentError(f"n_workers must be >= 1, got {self.n_workers}")
+        # No load exceeds 1, so an all-on hour costs at most n_bs * (static + dynamic) and
+        # no trial's energy reaches twice the full-load week: the factor 2 leaves room for
+        # the 1e-9 load tolerance and for rounding, and the check needs no hour order.
+        e, n = self.energy, self.scenario.n_bs
+        if not math.isfinite(2 * HOURS_PER_WEEK * n * (e.static_energy + e.full_load_dynamic)):
+            raise InvalidArgumentError(
+                f"a full-load week of {n} BSs overflows: the [energy] settings are too large ({e})"
+            )
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,6 @@ def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> Trial
     cons = OffloadConstraints(min_active_frac=study.min_active_frac, c_haps=c_haps)
     schedule = offload_week(study.scenario, study.energy, cons)
     baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
-    capacities = study.scenario.capacities
     return TrialResult(
         trial_idx=trial_idx,
         elevation_deg=cfg.elevation_deg,
@@ -137,8 +145,8 @@ def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> Trial
         baseline_energy_per_hour=baseline_ph,
         offloaded_rate_per_hour=schedule.offloaded_rate,
         offloaded_count_per_hour=schedule.offloaded_count,
-        active_count_per_hour=schedule.active.sum(axis=1),
-        active_capacity_per_hour=schedule.active.astype(float) @ capacities,
+        active_count_per_hour=study.scenario.n_bs - schedule.offloaded_count,
+        active_capacity_per_hour=schedule.active_capacity,
         never_active_bs_count=schedule.never_active_count,
     )
 

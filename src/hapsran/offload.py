@@ -40,12 +40,22 @@ class OffloadConstraints:
 
 @dataclass(frozen=True)
 class OffloadSchedule:
-    """Weekly decision matrix with per-hour bookkeeping."""
+    """A week's greedy decisions: per hour, the k lowest-ranked BSs sleep.
 
-    active: np.ndarray  # (T, N) bool, True = BS stays on
+    Every field but rank is a (T,) vector; rank is the scenario's read-only (T, N)
+    HourOrder.rank, held by reference.
+    """
+
+    rank: np.ndarray  # (T, N) int32, BS i's place in hour h's order
     offloaded_rate: np.ndarray  # (T,) Mbps
-    offloaded_count: np.ndarray  # (T,) int
+    offloaded_count: np.ndarray  # (T,) int: k, the sleepers
     energy_per_hour: np.ndarray  # (T,)
+    active_capacity: np.ndarray  # (T,) summed capacity of the BSs that stay on
+
+    @property
+    def active(self) -> np.ndarray:
+        """(T, N) bool, True = BS stays on; built on each call."""
+        return self.rank >= self.offloaded_count[:, None]
 
     @property
     def total_energy(self) -> float:
@@ -54,7 +64,7 @@ class OffloadSchedule:
     @property
     def never_active_count(self) -> int:
         """Number of BSs that sleep through the whole week."""
-        return int((~self.active).all(axis=0).sum())
+        return int((self.rank < self.offloaded_count[:, None]).all(axis=0).sum())
 
 
 def _hour_inputs(rates, capacities) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +88,7 @@ def _hour_inputs(rates, capacities) -> tuple[np.ndarray, np.ndarray]:
 
 def _baseline(order: HourOrder, params: EnergyParams) -> np.ndarray:
     """(T,) energy of each hour with every BS on: bs_energy is linear in load."""
-    n = order.cum_load.shape[1]
+    n = order.rank.shape[1]
     return n * params.static_energy + params.full_load_dynamic * order.cum_load[:, -1]
 
 
@@ -87,23 +97,22 @@ def _solve(order: HourOrder, params: EnergyParams, cons: OffloadConstraints) -> 
 
     Per hour, the k lowest-ranked BSs sleep: k is the smaller of the active-count
     limit and the longest prefix of the order whose summed rate fits in c_haps.
-    Each sleeper saves static - e0 plus its dynamic term, whichever BSs sleep
-    with it, so an hour's energy is its baseline less the k sleepers' saving.
+    Every hourly output is then column k of a prefix sum.  Each sleeper saves
+    static - e0 plus its dynamic term, whichever BSs sleep with it, so an hour's
+    energy is its baseline less the k sleepers' saving.
     The inputs are trusted: a TrafficScenario or _hour_inputs has checked them.
     """
     n_hours, n = order.rank.shape
-    cum = order.cum_rate
-    k = np.minimum(cons.max_offloadable(n), (cum <= cons.c_haps).sum(axis=1))
-    active = order.rank >= k[:, None]
-    last = (np.arange(n_hours), k - 1)  # the last sleeper's column; unused where k = 0
-    offloaded_rate = np.where(k > 0, cum[last], 0.0)
+    k = np.minimum(cons.max_offloadable(n), (order.cum_rate[:, 1:] <= cons.c_haps).sum(axis=1))
+    at_k = (np.arange(n_hours), k)
     per_sleeper = params.static_energy - sleep_energy(params)
-    saved = np.where(k > 0, k * per_sleeper + params.full_load_dynamic * order.cum_load[last], 0.0)
+    saved = k * per_sleeper + params.full_load_dynamic * order.cum_load[at_k]
     return OffloadSchedule(
-        active=active,
-        offloaded_rate=offloaded_rate,
+        rank=order.rank,
+        offloaded_rate=order.cum_rate[at_k],
         offloaded_count=k,
         energy_per_hour=_baseline(order, params) - saved,
+        active_capacity=order.cum_cap[:, -1] - order.cum_cap[at_k],
     )
 
 

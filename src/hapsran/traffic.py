@@ -37,15 +37,6 @@ _CSV_ROW = np.dtype([("bs_id", np.int64), ("hour", np.int64), ("rate_mbps", np.f
 _BLOCK_BYTES = 1 << 16
 
 
-def percentile_nearest_rank(values: np.ndarray, fraction: float) -> float:
-    """Nearest-rank percentile: the ceil(fraction*n)-th smallest sample."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise InvalidArgumentError("percentile of empty sample")
-    rank = max(1, math.ceil(fraction * v.size))
-    return float(v[rank - 1])
-
-
 @dataclass(frozen=True)
 class WeeklyTrace:
     """Hourly traffic rates (Mbps) for one typical week."""
@@ -105,26 +96,38 @@ class BSStats:
 
 
 class HourOrder(NamedTuple):
-    """Each hour's stable ascending rate order, as three read-only (T, N) arrays."""
+    """Each hour's stable ascending rate order: a (T, N) rank and three (T, N + 1) prefix sums.
+
+    Column k of a prefix sum adds up the k lowest-rate BSs of the hour, so column 0 is
+    0 and the last column is the whole hour.  Every array is read-only.
+    """
 
     rank: np.ndarray  # int32: rank[h, i] is BS i's position in hour h's order
-    cum_rate: np.ndarray  # cum_rate[h, j]: summed rate of the j + 1 lowest BSs of hour h
-    cum_load: np.ndarray  # cum_load[h, j]: their summed rate / capacity, in the same order
+    cum_rate: np.ndarray  # the summed rates
+    cum_load: np.ndarray  # the summed rate / capacity
+    cum_cap: np.ndarray  # the summed capacities
+
+
+def _prefix_sums(sorted_values: np.ndarray) -> np.ndarray:
+    """(T, N + 1) read-only running sums of each row of a (T, N) array, after a 0 column."""
+    out = np.zeros((sorted_values.shape[0], sorted_values.shape[1] + 1))
+    np.cumsum(sorted_values, axis=1, out=out[:, 1:])  # adds in index order
+    out.flags.writeable = False
+    return out
 
 
 def sort_hours(rate_matrix: np.ndarray, capacities: np.ndarray) -> HourOrder:
     """Rank the BSs of every hour of an (N, T) rate matrix (ties go to the lower index)."""
     by_hour = rate_matrix.T
     order = np.argsort(by_hour, axis=1, kind="stable")
-    cum_rate = np.take_along_axis(by_hour, order, axis=1)
-    cum_load = cum_rate / capacities[order]  # the division bs_energy does
-    np.cumsum(cum_rate, axis=1, out=cum_rate)
-    np.cumsum(cum_load, axis=1, out=cum_load)
+    sorted_caps = capacities[order]
+    sorted_rates = np.take_along_axis(by_hour, order, axis=1)
+    cum_rate = _prefix_sums(sorted_rates)
+    loads = np.divide(sorted_rates, sorted_caps, out=sorted_rates)  # the division bs_energy does
     rank = np.empty(order.shape, dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(order.shape[1], dtype=np.int32), axis=1)
-    for array in (rank, cum_rate, cum_load):
-        array.flags.writeable = False
-    return HourOrder(rank, cum_rate, cum_load)
+    rank.flags.writeable = False
+    return HourOrder(rank, cum_rate, _prefix_sums(loads), _prefix_sums(sorted_caps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,13 +358,6 @@ def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray
         pick[k] = _nearest_by_scan(base_matrix, p5s, spans, usable, t_peak[k], t_p5[k], t_mean[k])
     rows = base_matrix[pick]
     return _scale_rows(rows, p5s[pick], spans[pick], t_peak, t_p5, out=rows)
-
-
-def match_trace(bases: list[WeeklyTrace], target: BSStats) -> WeeklyTrace:
-    """Pick the scaled base trace whose mean is nearest the target mean."""
-    if not bases:
-        raise NoCandidateError("no base traces supplied")
-    return WeeklyTrace(_matched_rows(np.stack([t.values for t in bases]), [target])[0])
 
 
 def build_scenario(

@@ -221,6 +221,30 @@ class TestTrialCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--indoor", "0.59", 2),
+            ("--indoor", "0.6", 0),
+            ("--indoor", "0.9", 0),
+            ("--indoor", "0.91", 2),
+            ("--traditional", "0.29", 2),
+            ("--traditional", "0.3", 0),
+            ("--traditional", "0.7", 0),
+            ("--traditional", "0.71", 2),
+        ],
+    )
+    def test_fractions_within_closed_interval(
+        self, config_file, scenario_dir, capsys, flag, value, code
+    ):
+        # the configured ranges are indoor [0.6, 0.9] and traditional [0.3, 0.7], ends included
+        fractions = {"--indoor": "0.7", "--traditional": "0.5", flag: value}
+        argv = ["trial", "--config", config_file, "--scenario", scenario_dir, "--elevation", "90"]
+        assert main(argv + [arg for pair in fractions.items() for arg in pair]) == code
+        if code == 2:
+            interval = "[0.6, 0.9]" if flag == "--indoor" else "[0.3, 0.7]"
+            assert f"{value} outside {interval}" in capsys.readouterr().err
+
     def test_repeatable_dump(self, config_file, scenario_dir, capsys):
         argv = [
             "trial", "--config", config_file, "--scenario", scenario_dir,
@@ -323,6 +347,36 @@ class TestMalformedInputsExit2:
         monkeypatch.setenv(f"HAPSRAN_{section.upper()}_{key.upper()}", value)
         assert self.run(config_file, scenario_dir, tmp_path) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "trial"])
+    @pytest.mark.parametrize("key, value", [("p_tx_dbm", "1e5"), ("bandwidth_hz", "1e308")])
+    def test_link_overflow(
+        self, config_file, scenario_dir, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        # each setting is finite, but every UE's rate overflows: c_haps would be inf
+        monkeypatch.setenv(f"HAPSRAN_LINK_{key.upper()}", value)
+        if command == "run":
+            code = self.run(config_file, scenario_dir, tmp_path)
+        else:
+            code = main(["trial", "--config", config_file, "--scenario", scenario_dir,
+                         "--elevation", "70", "--indoor", "0.7", "--traditional", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "c_haps is inf" in err and "[link]" in err and f"{key}={float(value)!r}" in err
+        assert not (tmp_path / "o" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("p_tx_w", "1e308", "p_tx_w * dt_s / eta"), ("e_bb", "1e306", "e_bb=1e+306")],
+    )
+    def test_energy_overflow(
+        self, config_file, scenario_dir, tmp_path, capsys, monkeypatch, key, value, named
+    ):
+        # each setting is finite, but a BS's dynamic term or the all-on week is not
+        monkeypatch.setenv(f"HAPSRAN_ENERGY_{key.upper()}", value)
+        assert self.run(config_file, scenario_dir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "[energy]" in err and named in err
 
     @pytest.mark.parametrize(
         "extra, env_key, names",

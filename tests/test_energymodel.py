@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -71,3 +73,17 @@ def test_affine_monotone_in_rate(load_a, load_b):
 def test_sleep_never_worse(load):
     params = EnergyParams()
     assert sleep_energy(params) <= bs_energy(params, load * 42.0, 42.0)
+
+
+@pytest.mark.parametrize(
+    "settings, term",
+    [
+        ({"p_tx_w": 1e308}, "p_tx_w * dt_s / eta"),
+        ({"e_bb": 1e308, "e_pa": 1e308}, "e0 + e_bb + e_tran + e_pa"),
+    ],
+    ids=["full_load_dynamic", "static_energy"],
+)
+def test_overflowing_derived_term_names_its_settings(settings, term):
+    # every setting is finite, but the term built from them is not
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"[energy] {term} overflows")):
+        EnergyParams(**settings)

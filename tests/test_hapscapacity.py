@@ -3,6 +3,7 @@ import pytest
 
 from hapsran import (
     InvalidArgumentError,
+    LinkParams,
     TrialConfig,
     aggregate_capacity,
     sample_ue_population,
@@ -132,6 +133,22 @@ class TestAggregation:
         assert mean_c > 0
         with pytest.raises(InvalidArgumentError):
             aggregate_capacity(cfg, link, tables, pop, aggregation="max")
+
+    @pytest.mark.parametrize(
+        "setting, aggregation",
+        [
+            ({"p_tx_dbm": 1e5}, "mean"),
+            ({"p_tx_dbm": 1e5}, "median"),
+            ({"p_tx_dbm": 1e5}, "p5"),
+            ({"bandwidth_hz": 1e308}, "mean"),
+        ],
+    )
+    def test_overflowing_link_rejected(self, tables, setting, aggregation):
+        # finite settings under which the aggregate overflows: no warning, and no inf c_haps
+        cfg = make_cfg(ue_density_per_km2=50.0)
+        pop = sample_ue_population(cfg, tables)
+        with pytest.raises(InvalidArgumentError, match=r"c_haps is (inf|nan) Mbps: the \[link\]"):
+            aggregate_capacity(cfg, LinkParams(**setting), tables, pop, aggregation=aggregation)
 
     def test_empty_population_rejected(self, tables, link):
         with pytest.raises(InvalidArgumentError):

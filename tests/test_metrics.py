@@ -12,9 +12,7 @@ from hapsran.metrics import (
     WEEKDAY_MASK,
     WEEKEND_MASK,
     PeriodMask,
-    capacity_utilization,
     energy_saving,
-    offloaded_fraction,
     sorted_saving_curves,
     study_config_digest,
     write_figure2_csv,
@@ -24,6 +22,22 @@ from hapsran.metrics import (
 )
 from hapsran.montecarlo import TrialResult
 from hapsran.traffic import HOURS_PER_WEEK
+
+
+def offloaded_fraction(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
+    """Share of the hour's total demand carried by the HAPS."""
+    total = float(scenario.hourly_demand[hour])
+    if total <= 0:
+        raise UndefinedMetricError(f"zero traffic demand at hour {hour}")
+    return float(result.offloaded_rate_per_hour[hour]) / total
+
+
+def capacity_utilization(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
+    """Total demand over combined HAPS plus active terrestrial capacity."""
+    denom = result.c_haps_mbps + float(result.active_capacity_per_hour[hour])
+    if denom <= 0:
+        raise UndefinedMetricError(f"zero available capacity at hour {hour}")
+    return float(scenario.hourly_demand[hour]) / denom
 
 
 def toy_result(energy_ph, baseline_ph, **kw):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hapsran import (
+    EnergyParams,
     InvalidArgumentError,
     StudyConfig,
     TrafficScenario,
@@ -54,6 +55,15 @@ class TestSampleTrialConfig:
     def test_out_of_range_index(self, study):
         with pytest.raises(InvalidArgumentError):
             sample_trial_config(study, study.n_trials)
+
+
+class TestStudyConfig:
+    def test_overflowing_full_load_week_rejected(self, small_scenario, tables):
+        # finite settings whose all-on week of 40 BSs is not finite fail where they meet
+        # the scenario, naming the [energy] settings
+        with pytest.raises(InvalidArgumentError, match=r"\[energy\].*e_bb=1e\+305"):
+            StudyConfig(small_scenario, tables, energy=EnergyParams(e_bb=1e305))
+        StudyConfig(small_scenario, tables, energy=EnergyParams(e_bb=1e300))
 
 
 class TestRunTrial:

@@ -20,7 +20,7 @@ from hapsran import (
 )
 from hapsran import offload
 from hapsran.offload import baseline_energy_per_hour
-from hapsran.traffic import HOURS_PER_WEEK, BSStats, TrafficScenario, percentile_nearest_rank
+from hapsran.traffic import HOURS_PER_WEEK, BSStats, TrafficScenario, WeeklyTrace
 
 
 def reference_hour(rates, caps, params, cons):
@@ -62,13 +62,13 @@ def scenario_from(rates):
     """A TrafficScenario around an (N, 168) matrix, each BS loaded to at most half capacity."""
     stats = tuple(
         BSStats(
-            peak=row.max(),
-            p5=percentile_nearest_rank(row, 0.05),
-            mean=min(max(row.mean(), percentile_nearest_rank(row, 0.05)), row.max()),
-            capacity=2 * row.max() + 1,
+            peak=t.peak,
+            p5=t.p5,
+            mean=min(max(t.mean, t.p5), t.peak),
+            capacity=2 * t.peak + 1,
             max_load=1.0,
         )
-        for row in rates
+        for t in map(WeeklyTrace, rates)
     )
     return TrafficScenario(rate_matrix=rates, stats=stats)
 
@@ -314,40 +314,95 @@ class TestOneSolver:
         assert (gap <= rounding_bound(n, baseline)).all()
 
 
+class TestHourlyLookups:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 25),
+        levels=st.integers(1, 6),
+        c_mode=st.sampled_from(["zero", "prefix", "random", "inf"]),
+        min_active_frac=st.sampled_from([0.0, 0.4, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_read_off_k_match_the_active_matrix(
+        self, energy, seed, n, levels, c_mode, min_active_frac
+    ):
+        # few distinct levels (zero included) force ties within and across hours
+        rng = np.random.default_rng(seed)
+        rates = rng.integers(0, levels, (n, HOURS_PER_WEEK)) * rng.choice([0.5, 1.25, 3.0])
+        if rng.random() < 0.5:  # capacities whose sums round
+            rates = rates + rng.uniform(0, 1, (n, HOURS_PER_WEEK)) * (rates > 0)
+        scenario = scenario_from(rates)
+        cum_rate = scenario.hour_order.cum_rate
+        c_haps = {
+            "zero": 0.0,
+            # exactly one of the prefix sums, so the <= boundary is hit
+            "prefix": float(cum_rate[rng.integers(HOURS_PER_WEEK), rng.integers(n + 1)]),
+            "random": float(rng.uniform(0, cum_rate[:, -1].max() + 1)),
+            "inf": math.inf,
+        }[c_mode]
+        cons = OffloadConstraints(min_active_frac=min_active_frac, c_haps=c_haps)
+        schedule = offload_week(scenario, energy, cons)
+        active = schedule.active
+        assert active.shape == (HOURS_PER_WEEK, n)
+        np.testing.assert_array_equal(n - schedule.offloaded_count, active.sum(axis=1))
+        assert schedule.never_active_count == int((~active).all(axis=0).sum())
+        caps = scenario.capacities
+        for h in range(HOURS_PER_WEEK):
+            exact = math.fsum(caps[active[h]])
+            if exact == 0.0:
+                assert schedule.active_capacity[h] == 0.0
+            else:
+                assert abs(schedule.active_capacity[h] - exact) <= 1e-12 * exact
+
+
 class TestScenarioCaches:
     def test_hour_order_built_once_and_read_only(self, small_scenario):
         order = small_scenario.hour_order
+        n = small_scenario.n_bs
         assert small_scenario.hour_order is order
         assert order.rank.dtype == np.int32
-        assert order.rank.shape == order.cum_rate.shape == (HOURS_PER_WEEK, small_scenario.n_bs)
+        assert order.rank.shape == (HOURS_PER_WEEK, n)
+        for prefix_sums in (order.cum_rate, order.cum_load, order.cum_cap):
+            assert prefix_sums.shape == (HOURS_PER_WEEK, n + 1)
         for array in order:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
     def test_cum_load_built_once_and_read_only(self, small_scenario, energy, monkeypatch):
-        # the per-scenario load prefix sums serve every EnergyParams; energy needs no table
+        # the per-scenario load and capacity prefix sums serve every EnergyParams and every
+        # c_haps; energy needs no table
         cum_load = small_scenario.hour_order.cum_load
-        assert cum_load.shape == (HOURS_PER_WEEK, small_scenario.n_bs)
-        assert not cum_load.flags.writeable
-        with pytest.raises(ValueError):
-            cum_load[0, 0] = 0
+        cum_cap = small_scenario.hour_order.cum_cap
+        for prefix_sums in (cum_load, cum_cap):
+            assert prefix_sums.shape == (HOURS_PER_WEEK, small_scenario.n_bs + 1)
+            assert not prefix_sums.flags.writeable
+            with pytest.raises(ValueError):
+                prefix_sums[0, 0] = 0
         monkeypatch.setattr(offload, "bs_energy", None)
-        cons = OffloadConstraints(min_active_frac=0.0, c_haps=5.0)
         for params in (energy, EnergyParams(e0=0.3, eta=0.5)):
-            baseline_energy_per_hour(small_scenario, params)
-            offload_week(small_scenario, params, cons)
-            assert small_scenario.hour_order.cum_load is cum_load
+            for c_haps in (5.0, 50.0):
+                cons = OffloadConstraints(min_active_frac=0.0, c_haps=c_haps)
+                baseline_energy_per_hour(small_scenario, params)
+                offload_week(small_scenario, params, cons)
+                assert small_scenario.hour_order.cum_load is cum_load
+                assert small_scenario.hour_order.cum_cap is cum_cap
 
     def test_hour_order_is_the_stable_sort(self, small_scenario):
+        # column 0 of each prefix sum is 0, and columns 1: are exactly np.cumsum
         rates, caps = small_scenario.rate_matrix, small_scenario.capacities
         order = small_scenario.hour_order
         for h in (0, 50, 167):
             ascending = np.argsort(rates[:, h], kind="stable")
             np.testing.assert_array_equal(order.rank[h, ascending], np.arange(small_scenario.n_bs))
-            np.testing.assert_array_equal(order.cum_rate[h], np.cumsum(rates[ascending, h]))
             loads = rates[ascending, h] / caps[ascending]
-            np.testing.assert_array_equal(order.cum_load[h], np.cumsum(loads))
+            for prefix_sums, values in (
+                (order.cum_rate, rates[ascending, h]),
+                (order.cum_load, loads),
+                (order.cum_cap, caps[ascending]),
+            ):
+                assert prefix_sums[h, 0] == 0.0
+                np.testing.assert_array_equal(prefix_sums[h, 1:], np.cumsum(values))
 
     def test_baseline_is_the_per_bs_energy_sum(self, small_scenario):
         rates, caps = small_scenario.rate_matrix, small_scenario.capacities

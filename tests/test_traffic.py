@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,12 +22,26 @@ from hapsran import (
     generate_base_traces,
     generate_target_stats,
     load_scenario,
-    match_trace,
     save_scenario,
     scale_trace,
 )
 from hapsran import traffic
-from hapsran.traffic import HOURS_PER_WEEK, percentile_nearest_rank
+from hapsran.traffic import HOURS_PER_WEEK
+
+
+def percentile_nearest_rank(values, fraction):
+    """Nearest-rank percentile: the ceil(fraction*n)-th smallest sample."""
+    v = np.sort(np.asarray(values, dtype=float))
+    rank = max(1, math.ceil(fraction * v.size))
+    return float(v[rank - 1])
+
+
+def match_trace(bases, target):
+    """Pick the scaled base trace whose mean is nearest the target mean: build_scenario's
+    matcher for one target."""
+    if not bases:
+        raise NoCandidateError("no base traces supplied")
+    return WeeklyTrace(traffic._matched_rows(np.stack([t.values for t in bases]), [target])[0])
 
 
 def stats_for(trace, capacity=None, max_load=1.0):
