@@ -195,4 +195,9 @@ def aggregate_capacity(
         raise InvalidArgumentError(
             f"c_haps is {c_haps} Mbps: the [link] settings overflow the link budget ({params})"
         )
+    # a quantile stays finite when only the best UEs' rates overflow; the mean would not
+    if aggregation != "mean" and not (top := rates.max()) < math.inf:
+        raise InvalidArgumentError(
+            f"a UE's rate is {top} Mbps: the [link] settings overflow the link budget ({params})"
+        )
     return c_haps

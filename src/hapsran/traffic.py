@@ -13,7 +13,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -49,7 +49,7 @@ class WeeklyTrace:
             raise InvalidArgumentError(
                 f"weekly trace must have {HOURS_PER_WEEK} hourly values, got {v.shape}"
             )
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
+        if not 0 <= v.min() <= v.max() < math.inf:  # a NaN fails every comparison
             raise InvalidArgumentError("trace values must be finite and >= 0")
         object.__setattr__(self, "values", v)
 
@@ -185,32 +185,35 @@ class TrafficScenario:
         return demand
 
 
-def _diurnal_profile(rng: np.random.Generator) -> np.ndarray:
-    """One week of a double-peaked day shape with a deep night trough."""
-    hod = np.arange(HOURS_PER_DAY, dtype=float)
-    jitter = rng.uniform(-2.0, 2.0)  # per-trace phase shift, at most 2 h
-    morning = np.exp(-0.5 * ((hod - (9.5 + jitter)) / 2.2) ** 2)
-    evening = np.exp(-0.5 * ((hod - (20.0 + jitter)) / 2.8) ** 2)
-    w_m = rng.uniform(0.5, 0.9)
-    day = 0.06 + w_m * morning + evening
-    week = np.tile(day, DAYS_PER_WEEK)
-    weekend_scale = rng.uniform(0.7, 0.9)
-    week[5 * HOURS_PER_DAY:] *= weekend_scale
-    return week
-
-
 def generate_base_traces(n: int, seed: int) -> list[WeeklyTrace]:
-    """Generate n synthetic weekly base traces, deterministic per seed."""
+    """Generate n synthetic weekly base traces, deterministic per seed.
+
+    Each trace is a double-peaked day shape with a deep night trough, repeated over the
+    week with a damped weekend, times an amplitude and hourly lognormal noise.  Its draws
+    come in this order: four uniforms (phase jitter of at most 2 h, morning weight,
+    weekend scale, amplitude), then 168 noise factors.  lo + (hi - lo) * u is
+    rng.uniform(lo, hi) to the bit, and the shapes are evaluated for all traces at once.
+    """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7AFF]))
-    traces = []
-    for _ in range(n):
-        shape = _diurnal_profile(rng)
-        amplitude = rng.uniform(0.5, 2.0)
-        noise = rng.lognormal(mean=0.0, sigma=0.08, size=HOURS_PER_WEEK)
-        traces.append(WeeklyTrace(amplitude * shape * noise))
-    return traces
+    u = np.empty((n, 4))
+    traces = np.empty((n, HOURS_PER_WEEK))  # each row its noise, then times amplitude * shape
+    for k in range(n):
+        rng.random(out=u[k])
+        traces[k] = rng.lognormal(mean=0.0, sigma=0.08, size=HOURS_PER_WEEK)
+    lo, hi = np.array([(-2.0, 2.0), (0.5, 0.9), (0.7, 0.9), (0.5, 2.0)]).T
+    jitter, w_m, weekend_scale, amplitude = (lo + (hi - lo) * u).T
+    hod = np.arange(HOURS_PER_DAY, dtype=float)
+    morning = np.exp(-0.5 * ((hod - (9.5 + jitter)[:, None]) / 2.2) ** 2)
+    evening = np.exp(-0.5 * ((hod - (20.0 + jitter)[:, None]) / 2.8) ** 2)
+    day = 0.06 + w_m[:, None] * morning + evening
+    weekday = amplitude[:, None] * day
+    weekend = amplitude[:, None] * (day * weekend_scale[:, None])
+    days = traces.reshape(n, DAYS_PER_WEEK, HOURS_PER_DAY)  # hour 0 is Monday 00:00
+    days[:, :5] *= weekday[:, None]
+    days[:, 5:] *= weekend[:, None]
+    return [WeeklyTrace(row) for row in traces]
 
 
 def generate_target_stats(
@@ -225,20 +228,19 @@ def generate_target_stats(
 
     The peak is placed at a random fraction of the admissible ceiling
     max_load * capacity, the 5th percentile at a random fraction of the peak,
-    and the mean strictly between the two.
+    and the mean strictly between the two.  A target's five uniforms are
+    consecutive in the stream, so one (m, 5) draw takes them all.
     """
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got {m}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57A7]))
-    out = []
-    for _ in range(m):
-        capacity = rng.uniform(*capacity_range)
-        max_load = rng.uniform(*max_load_range)
-        peak = capacity * max_load * rng.uniform(*peak_load_range)
-        p5 = peak * rng.uniform(*p5_ratio_range)
-        mean = p5 + (peak - p5) * rng.uniform(0.25, 0.5)
-        out.append(BSStats(peak=peak, p5=p5, mean=mean, capacity=capacity, max_load=max_load))
-    return out
+    lows, highs = zip(capacity_range, max_load_range, peak_load_range, p5_ratio_range, (0.25, 0.5))
+    capacity, max_load, peak_frac, p5_frac, mean_frac = rng.uniform(lows, highs, size=(m, 5)).T
+    peak = capacity * max_load * peak_frac
+    p5 = peak * p5_frac
+    mean = p5 + (peak - p5) * mean_frac
+    # Python floats, as the scalar draws gave: the sidecar's JSON bytes stay the same
+    return [BSStats(*fields) for fields in np.stack([peak, p5, mean, capacity, max_load], axis=1).tolist()]
 
 
 def scale_trace(base: WeeklyTrace, target: BSStats) -> WeeklyTrace:
@@ -377,15 +379,17 @@ def build_scenario(
 def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: str | Path) -> None:
     """Write the trace CSV (bs_id,hour,rate_mbps) and the JSON stats sidecar."""
     csv_path, stats_path = Path(csv_path), Path(stats_path)
-    # the bytes csv.writer would write: \r\n line ends, and no field needs quoting
+    # the bytes csv.writer would write: \r\n line ends, and no field needs quoting.  One
+    # BS's 168 lines are one %-template, its hours baked in and a %r per rate.
+    row_template = "".join(f"{{i}},{h},%r\r\n" for h in range(HOURS_PER_WEEK))
     with csv_path.open("w", newline="") as fh:
         fh.write(",".join(_CSV_ROW.names) + "\r\n")
-        for i, row in enumerate(scenario.rate_matrix.tolist()):
-            fh.write("".join([f"{i},{h},{rate!r}\r\n" for h, rate in enumerate(row)]))
+        for i, row in enumerate(scenario.rate_matrix):
+            fh.write(row_template.replace("{i}", str(i)) % tuple(row.tolist()))
     sidecar = {
         "area_km2": scenario.area_km2,
         "n_bs": scenario.n_bs,
-        "stats": [asdict(s) for s in scenario.stats],
+        "stats": [vars(s) for s in scenario.stats],
     }
     stats_path.write_text(json.dumps(sidecar, indent=2) + "\n")
 

@@ -365,6 +365,26 @@ class TestMalformedInputsExit2:
         assert "c_haps is inf" in err and "[link]" in err and f"{key}={float(value)!r}" in err
         assert not (tmp_path / "o" / "trials.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "trial"])
+    @pytest.mark.parametrize("aggregation", ["median", "p5"])
+    def test_link_overflow_under_a_quantile(
+        self, config_file, scenario_dir, tmp_path, capsys, monkeypatch, command, aggregation
+    ):
+        # only the best UEs' rates overflow, so the quantile, and c_haps, would stay finite
+        monkeypatch.setenv("HAPSRAN_STUDY_AGGREGATION", aggregation)
+        monkeypatch.setenv("HAPSRAN_LINK_BANDWIDTH_HZ", "1e308")
+        if command == "run":
+            code = self.run(config_file, scenario_dir, tmp_path)
+        else:
+            code = main(["trial", "--config", config_file, "--scenario", scenario_dir,
+                         "--elevation", "70", "--indoor", "0.7", "--traditional", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "a UE's rate is inf" in captured.err and "[link]" in captured.err
+        assert "bandwidth_hz=1e+308" in captured.err
+        assert "c_haps" not in captured.out
+        assert not (tmp_path / "o" / "trials.csv").exists()
+
     @pytest.mark.parametrize(
         "key, value, named",
         [("p_tx_w", "1e308", "p_tx_w * dt_s / eta"), ("e_bb", "1e306", "e_bb=1e+306")],

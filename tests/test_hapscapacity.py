@@ -150,6 +150,14 @@ class TestAggregation:
         with pytest.raises(InvalidArgumentError, match=r"c_haps is (inf|nan) Mbps: the \[link\]"):
             aggregate_capacity(cfg, LinkParams(**setting), tables, pop, aggregation=aggregation)
 
+    @pytest.mark.parametrize("aggregation", ["median", "p5"])
+    def test_quantile_of_partly_overflowing_rates_rejected(self, tables, aggregation):
+        # only the best UEs' rates overflow, so the quantile, and c_haps, would be finite
+        cfg = make_cfg(ue_density_per_km2=50.0)
+        pop = sample_ue_population(cfg, tables)
+        with pytest.raises(InvalidArgumentError, match=r"a UE's rate is inf Mbps: the \[link\]"):
+            aggregate_capacity(cfg, LinkParams(bandwidth_hz=1e308), tables, pop, aggregation=aggregation)
+
     def test_empty_population_rejected(self, tables, link):
         with pytest.raises(InvalidArgumentError):
             aggregate_capacity(make_cfg(), link, tables, [])

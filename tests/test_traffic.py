@@ -66,6 +66,53 @@ def scan_reference(base_matrix, targets):
     return np.array(rows)
 
 
+def _diurnal_profile(rng: np.random.Generator) -> np.ndarray:
+    """One week of a double-peaked day shape with a deep night trough."""
+    hod = np.arange(traffic.HOURS_PER_DAY, dtype=float)
+    jitter = rng.uniform(-2.0, 2.0)  # per-trace phase shift, at most 2 h
+    morning = np.exp(-0.5 * ((hod - (9.5 + jitter)) / 2.2) ** 2)
+    evening = np.exp(-0.5 * ((hod - (20.0 + jitter)) / 2.8) ** 2)
+    w_m = rng.uniform(0.5, 0.9)
+    day = 0.06 + w_m * morning + evening
+    week = np.tile(day, traffic.DAYS_PER_WEEK)
+    weekend_scale = rng.uniform(0.7, 0.9)
+    week[5 * traffic.HOURS_PER_DAY:] *= weekend_scale
+    return week
+
+
+def base_traces_reference(n: int, seed: int) -> list[WeeklyTrace]:
+    """generate_base_traces one trace at a time, with a scalar draw per parameter."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7AFF]))
+    traces = []
+    for _ in range(n):
+        shape = _diurnal_profile(rng)
+        amplitude = rng.uniform(0.5, 2.0)
+        noise = rng.lognormal(mean=0.0, sigma=0.08, size=HOURS_PER_WEEK)
+        traces.append(WeeklyTrace(amplitude * shape * noise))
+    return traces
+
+
+def target_stats_reference(
+    m: int,
+    seed: int,
+    capacity_range: tuple[float, float] = (100.0, 400.0),
+    p5_ratio_range: tuple[float, float] = (0.05, 0.4),
+    max_load_range: tuple[float, float] = (0.5, 0.9),
+    peak_load_range: tuple[float, float] = (0.08, 0.35),
+) -> list[BSStats]:
+    """generate_target_stats one target at a time, with five scalar draws each."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57A7]))
+    out = []
+    for _ in range(m):
+        capacity = rng.uniform(*capacity_range)
+        max_load = rng.uniform(*max_load_range)
+        peak = capacity * max_load * rng.uniform(*peak_load_range)
+        p5 = peak * rng.uniform(*p5_ratio_range)
+        mean = p5 + (peak - p5) * rng.uniform(0.25, 0.5)
+        out.append(BSStats(peak=peak, p5=p5, mean=mean, capacity=capacity, max_load=max_load))
+    return out
+
+
 def count_scans(monkeypatch):
     """Record the row that each call of the matcher's exhaustive-scan fallback picks."""
     picks = []
@@ -98,6 +145,13 @@ class TestWeeklyTrace:
         values = np.ones(HOURS_PER_WEEK)
         values[3] = -0.1
         with pytest.raises(InvalidArgumentError):
+            WeeklyTrace(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.ones(HOURS_PER_WEEK)
+        values[100] = bad
+        with pytest.raises(InvalidArgumentError, match="finite and >= 0"):
             WeeklyTrace(values)
 
     def test_p5_is_nearest_rank(self):
@@ -151,6 +205,14 @@ class TestGenerateBaseTraces:
         with pytest.raises(InvalidArgumentError):
             generate_base_traces(0, seed=1)
 
+    @pytest.mark.parametrize("n", [1, 2, 60, 1419])
+    @pytest.mark.parametrize("seed", [0, 11, 42, 2079656827])
+    def test_equals_per_trace_reference(self, n, seed):
+        traces = generate_base_traces(n, seed)
+        expected = base_traces_reference(n, seed)
+        assert len(traces) == n
+        assert np.array_equal(np.stack([t.values for t in traces]), np.stack([t.values for t in expected]))
+
 
 class TestGenerateTargetStats:
     def test_count(self):
@@ -164,6 +226,31 @@ class TestGenerateTargetStats:
     def test_zero_rejected(self):
         with pytest.raises(InvalidArgumentError):
             generate_target_stats(0, seed=1)
+
+    @pytest.mark.parametrize("m", [1, 2, 60, 1419])
+    @pytest.mark.parametrize("seed", [0, 11, 42, 2079656827])
+    def test_equals_scalar_draw_reference(self, m, seed):
+        stats = generate_target_stats(m, seed)
+        assert stats == target_stats_reference(m, seed)
+        assert all(type(v) is float for s in stats for v in vars(s).values())
+
+    @given(
+        data=st.data(),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_ranges_equal_scalar_draw_reference(self, data, m, seed):
+        def a_range(lo, hi):
+            return tuple(sorted(data.draw(st.tuples(st.floats(lo, hi), st.floats(lo, hi)))))
+
+        ranges = dict(
+            capacity_range=a_range(1e-3, 1e6),
+            p5_ratio_range=a_range(0.0, 1.0),
+            max_load_range=a_range(1e-3, 1.0),
+            peak_load_range=a_range(0.0, 1.0),
+        )
+        assert generate_target_stats(m, seed, **ranges) == target_stats_reference(m, seed, **ranges)
 
 
 class TestScaleTrace:
