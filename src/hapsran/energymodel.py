@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import require_finite, scalar_or_array
-from .errors import InvalidArgumentError, LoadExceedsCapacityError
+from ._numeric import check_load, require_finite, scalar_or_array
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,13 @@ def bs_energy(params: EnergyParams, rate, capacity):
     """Energy per time step of an active BS; accepts scalars or arrays."""
     rate = np.asarray(rate, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
-    if np.any(capacity <= 0):
-        raise InvalidArgumentError("capacity must be positive")
-    if np.any(rate < 0):
-        raise InvalidArgumentError("rate must be >= 0")
-    if np.any(rate > capacity * (1 + 1e-9)):
-        raise LoadExceedsCapacityError("rate exceeds BS capacity")
-    out = params.static_energy + params.full_load_dynamic * (rate / capacity)
-    return scalar_or_array(out)
+    check_load(rate, capacity)
+    return scalar_or_array(active_energy(params, rate, capacity))
+
+
+def active_energy(params: EnergyParams, rate: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """bs_energy of float arrays whose load check_load has passed already."""
+    return params.static_energy + params.full_load_dynamic * (rate / capacity)
 
 
 def sleep_energy(params: EnergyParams) -> float:

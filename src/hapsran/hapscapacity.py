@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linkbudget import (
-    _DB_TO_LN,
     ChannelTables,
     LinkParams,
+    _rate_bps_into,
+    _snr_db_into,
     building_entry_loss_db,
     fspl_db,
     los_probability,
     slant_range_km,
-    tx_array_gain_dbi,
 )
 
 AGGREGATIONS = ("mean", "median", "p5")  # the first is the default
@@ -147,17 +147,9 @@ def ue_rates_mbps(
     use_shadow_fading: bool = SHADOW_FADING,
     use_building_entry_loss: bool = BUILDING_ENTRY_LOSS,
 ) -> np.ndarray:
-    """Vectorized per-UE achievable rate in Mbps."""
-    rate = path_loss_db(params, tables, pop, use_shadow_fading, use_building_entry_loss)
-    # ue_rate_bps(params, snr_db(params, pl)) / 1e6, evaluated in place in the same order
-    gain = tx_array_gain_dbi(params.g_element_dbi, params.n_rows, params.m_cols)
-    np.subtract(params.p_tx_dbm + gain + params.g_rx_dbi, rate, out=rate)
-    rate -= params.noise_dbm
-    rate *= _DB_TO_LN
-    np.exp(rate, out=rate)
-    rate += 1
-    np.log2(rate, out=rate)
-    rate *= params.bandwidth_hz
+    """Vectorized per-UE achievable rate in Mbps: ue_rate_bps(params, snr_db(params, pl)) / 1e6."""
+    pl = path_loss_db(params, tables, pop, use_shadow_fading, use_building_entry_loss)
+    rate = _rate_bps_into(params, _snr_db_into(params, pl))  # in pl's buffer
     rate /= 1e6
     return rate
 

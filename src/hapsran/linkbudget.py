@@ -309,13 +309,27 @@ def building_entry_loss_db(coeffs: BelCoefficients, f_c_ghz: float, elevation_de
 
 def snr_db(params: LinkParams, pl_db) -> float:
     """Received SNR in dB for a given total path loss."""
-    gain = tx_array_gain_dbi(params.g_element_dbi, params.n_rows, params.m_cols)
-    out = params.p_tx_dbm + gain + params.g_rx_dbi - np.asarray(pl_db, dtype=float) - params.noise_dbm
-    return scalar_or_array(out)
+    return scalar_or_array(_snr_db_into(params, np.array(pl_db, dtype=float)))
 
 
 def ue_rate_bps(params: LinkParams, snr_db):
     """Shannon rate over the configured channel bandwidth."""
-    snr_lin = np.exp(np.asarray(snr_db, dtype=float) * _DB_TO_LN)
-    out = params.bandwidth_hz * np.log2(1 + snr_lin)
-    return scalar_or_array(out)
+    return scalar_or_array(_rate_bps_into(params, np.array(snr_db, dtype=float)))
+
+
+def _snr_db_into(params: LinkParams, pl: np.ndarray) -> np.ndarray:
+    """snr_db of a float array, written over it: p_tx + gain + g_rx - pl - noise."""
+    gain = tx_array_gain_dbi(params.g_element_dbi, params.n_rows, params.m_cols)
+    np.subtract(params.p_tx_dbm + gain + params.g_rx_dbi, pl, out=pl)
+    pl -= params.noise_dbm
+    return pl
+
+
+def _rate_bps_into(params: LinkParams, snr: np.ndarray) -> np.ndarray:
+    """ue_rate_bps of a float array, written over it: bandwidth * log2(1 + 10 ** (snr / 10))."""
+    snr *= _DB_TO_LN
+    np.exp(snr, out=snr)
+    snr += 1
+    np.log2(snr, out=snr)
+    snr *= params.bandwidth_hz
+    return snr

@@ -63,11 +63,26 @@ class StudyConfig:
                 raise InvalidArgumentError("ranges must be well-ordered within [0,1]")
         if not self.elevation_set:
             raise InvalidArgumentError("elevation_set must be non-empty")
+        # each setting a trial reads is checked here, before --out is made or any trial
+        # runs, and not only by the first trial that draws it
+        lo, hi = self.tables.angles_deg[0], self.tables.angles_deg[-1]
+        for section, key, ok, need in (
+            ("study", "elevation_set",
+             all(lo <= e <= hi and 0 < e <= 90 for e in self.elevation_set),
+             f"within the channel tables' [{lo}, {hi}] degrees and (0, 90]"),
+            ("study", "n_carriers", self.n_carriers >= 1, ">= 1"),
+            ("study", "ue_density_per_km2", self.ue_density_per_km2 > 0, "positive"),
+            ("study", "aggregation", self.aggregation in AGGREGATIONS, f"one of {AGGREGATIONS}"),
+            ("offload", "min_active_frac", 0 <= self.min_active_frac <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                got = getattr(self, key)
+                raise InvalidArgumentError(f"[{section}] {key} must be {need}, got {got!r}")
         if self.n_workers < 1:
             raise InvalidArgumentError(f"n_workers must be >= 1, got {self.n_workers}")
         # No load exceeds 1, so an all-on hour costs at most n_bs * (static + dynamic) and
         # no trial's energy reaches twice the full-load week: the factor 2 leaves room for
-        # the 1e-9 load tolerance and for rounding, and the check needs no hour order.
+        # LOAD_TOLERANCE and for rounding, and the check needs no hour order.
         e, n = self.energy, self.scenario.n_bs
         if not math.isfinite(2 * HOURS_PER_WEEK * n * (e.static_energy + e.full_load_dynamic)):
             raise InvalidArgumentError(

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._numeric import check_load
 from .errors import DegenerateTraceError, InvalidArgumentError, NoCandidateError
 
 HOURS_PER_WEEK = 168
@@ -88,11 +89,9 @@ class BSStats:
             )
         if not (0 < self.max_load <= 1):
             raise InvalidArgumentError(f"max_load must be in (0,1], got {self.max_load}")
-        # with a finite capacity, the checks around this one bound every other field too
-        if not 0 < self.capacity < math.inf:
-            raise InvalidArgumentError(f"capacity must be finite and positive, got {self.capacity}")
-        if self.peak > self.max_load * self.capacity * (1 + 1e-9):
-            raise InvalidArgumentError("peak exceeds max_load * capacity")
+        # a finite limit bounds the peak, and with it every other field
+        limit = self.max_load * self.capacity
+        check_load(self.peak, limit, InvalidArgumentError, "peak exceeds max_load * capacity")
 
 
 class HourOrder(NamedTuple):
@@ -147,11 +146,9 @@ class TrafficScenario:
         stats = tuple(self.stats)
         if rates.shape != (len(stats), HOURS_PER_WEEK) or not stats:
             raise InvalidArgumentError(f"rate matrix {rates.shape} is not (n_bs={len(stats)}, 168)")
-        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
-            raise InvalidArgumentError("trace values must be finite and >= 0")
-        caps = np.array([s.max_load * s.capacity for s in stats])
-        if np.any(rates > caps[:, None] * (1 + 1e-9)):
-            raise InvalidArgumentError("a trace exceeds max_load * capacity for its BS")
+        limits = np.array([s.max_load * s.capacity for s in stats])[:, None]
+        over = "a trace exceeds max_load * capacity for its BS"
+        check_load(rates, limits, InvalidArgumentError, over)
         capacities = np.array([s.capacity for s in stats])
         rates.flags.writeable = False
         capacities.flags.writeable = False

@@ -458,3 +458,40 @@ class TestMalformedInputsExit2:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("n_bases = 30\n")
         assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestStudySettingsCheckedWhereTheyEnter:
+    """A bad [study] or [offload] setting exits 2 naming its key, before --out is made."""
+
+    def run(self, config_file, scenario_dir, tmp_path, *extra):
+        argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                "--out", str(tmp_path / "o"), "--trials", "1", *extra]
+        return main(argv)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("study", "n_carriers", "0"),
+            ("study", "ue_density_per_km2", "0"),
+            ("study", "aggregation", "meen"),
+            ("offload", "min_active_frac", "1.5"),
+        ],
+    )
+    def test_bad_setting(
+        self, config_file, scenario_dir, tmp_path, capsys, monkeypatch, section, key, value
+    ):
+        monkeypatch.setenv(f"HAPSRAN_{section.upper()}_{key.upper()}", value)
+        assert self.run(config_file, scenario_dir, tmp_path) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_elevation_outside_the_channel_tables(
+        self, config_file, scenario_dir, tmp_path, capsys, monkeypatch, seed
+    ):
+        # whether the one trial draws 95 degrees depends on the seed; the check does not
+        monkeypatch.setenv("HAPSRAN_STUDY_ELEVATION_SET", "60.0,95.0")
+        assert self.run(config_file, scenario_dir, tmp_path, "--seed", str(seed)) == 2
+        err = capsys.readouterr().err
+        assert "[study] elevation_set" in err and "95.0" in err
+        assert not (tmp_path / "o").exists()

@@ -6,7 +6,10 @@ from hapsran import (
     LinkParams,
     TrialConfig,
     aggregate_capacity,
+    path_loss_db,
     sample_ue_population,
+    snr_db,
+    ue_rate_bps,
 )
 from hapsran.hapscapacity import UEPopulation, ue_rates_mbps
 
@@ -171,3 +174,31 @@ class TestConfigValidation:
     def test_bad_carriers(self):
         with pytest.raises(InvalidArgumentError):
             make_cfg(n_carriers=0)
+
+
+# make_cfg's c_haps (90 000 UEs) at each default elevation, to the bit, as computed when
+# snr_db, ue_rate_bps and ue_rates_mbps each held their own copy of the arithmetic
+C_HAPS_BITS = {
+    60.0: "0x1.54e4c8c6a2379p+8",
+    70.0: "0x1.7f1f788d0a34fp+8",
+    80.0: "0x1.8ebf9bb4ac60ep+8",
+    90.0: "0x1.b1cddcb4ea968p+8",
+}
+
+
+class TestOneRateImplementation:
+    @pytest.mark.parametrize("elevation", sorted(C_HAPS_BITS))
+    def test_ue_rates_are_the_public_formula(self, tables, link, elevation):
+        cfg = make_cfg(elevation_deg=elevation)
+        pop = sample_ue_population(cfg, tables)
+        expected = ue_rate_bps(link, snr_db(link, path_loss_db(link, tables, pop))) / 1e6
+        assert np.array_equal(ue_rates_mbps(link, tables, pop), expected)
+        assert aggregate_capacity(cfg, link, tables, pop) == float.fromhex(C_HAPS_BITS[elevation])
+
+    def test_public_functions_leave_their_input_alone(self, link):
+        pl = np.array([110.0, 124.49, 140.0])
+        snr = snr_db(link, pl)
+        np.testing.assert_array_equal(pl, [110.0, 124.49, 140.0])
+        copy = snr.copy()
+        ue_rate_bps(link, snr)
+        np.testing.assert_array_equal(snr, copy)

@@ -500,6 +500,52 @@ class TestExactOracle:
         np.testing.assert_array_equal(active, [True, True, False, False])
 
 
+class TestOneFeasibilityTolerance:
+    """The greedy and the oracle let the sleepers offload up to c_haps * (1 + OFFLOAD_TOLERANCE).
+
+    Near-equal rates and large capacities make every sleeper save about the same, so the
+    optimum sleeps as many BSs as fit; the fewest-rate k BSs fit exactly when their sum
+    does.  c_haps is set a little inside or outside the tolerance around that sum, far
+    beyond the rounding of either solver's sums and far within the tolerance itself.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        data=st.data(),
+        inside=st.booleans(),
+    )
+    def test_greedy_and_oracle_agree_at_a_near_tie(self, energy, seed, n, data, inside):
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        rates = 1 + 1e-3 * rng.random(n)
+        caps = np.full(n, 1e6)
+        k_lowest = math.fsum(np.sort(rates)[:k])
+        margin = 1e-13 if inside else -1e-13
+        c_haps = k_lowest / (1 + offload.OFFLOAD_TOLERANCE) * (1 + margin)
+        if inside:
+            assert c_haps < k_lowest  # only the tolerance lets the k BSs sleep
+        cons = OffloadConstraints(min_active_frac=0.0, c_haps=c_haps)
+        _, greedy_e, off_rate, count = offload_hour(rates, caps, energy, cons)
+        active, oracle_e = exact_oracle_hour(rates, caps, energy, cons)
+        expected = k if inside else k - 1
+        assert count == expected
+        assert int((~active).sum()) == expected
+        assert off_rate <= c_haps * (1 + offload.OFFLOAD_TOLERANCE)
+        assert oracle_e <= greedy_e + rounding_bound(n, greedy_e)
+
+    def test_zero_c_haps_lets_only_idle_bss_sleep(self, energy):
+        # a relative tolerance on c_haps = 0 admits no traffic at all, however little
+        rates, caps = np.array([0.0, 1e-300, 0.0, 2.0]), np.full(4, 10.0)
+        cons = OffloadConstraints(min_active_frac=0.0, c_haps=0.0)
+        greedy_active, _, off_rate, _ = offload_hour(rates, caps, energy, cons)
+        oracle_active, _ = exact_oracle_hour(rates, caps, energy, cons)
+        np.testing.assert_array_equal(greedy_active, [False, True, False, True])
+        np.testing.assert_array_equal(oracle_active, greedy_active)
+        assert off_rate == 0.0
+
+
 class TestHourIndependence:
     def test_permuting_hours_permutes_energy(self, small_scenario, energy):
         cons = OffloadConstraints(min_active_frac=0.4, c_haps=40.0)
