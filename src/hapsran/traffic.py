@@ -13,7 +13,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -139,10 +139,23 @@ class TrafficScenario:
     capacities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._take(np.array(self.rate_matrix, dtype=float))  # the caller's array stays its own
+
+    @classmethod
+    def _adopt(cls, rates: np.ndarray, stats: tuple[BSStats, ...], area_km2) -> TrafficScenario:
+        """A scenario that takes over rates, a fresh (N, 168) float array that nothing else
+        holds, and freezes it in place instead of copying it."""
+        scenario = object.__new__(cls)
+        object.__setattr__(scenario, "stats", stats)
+        object.__setattr__(scenario, "area_km2", area_km2)
+        scenario._take(rates)
+        return scenario
+
+    def _take(self, rates: np.ndarray) -> None:
+        """Check rates against the stats and area, then hold them read-only."""
         area = self.area_km2
         if isinstance(area, bool) or not isinstance(area, numbers.Real) or not 0 < area < math.inf:
             raise InvalidArgumentError(f"area_km2 must be a finite positive number, got {area!r}")
-        rates = np.array(self.rate_matrix, dtype=float)
         stats = tuple(self.stats)
         if rates.shape != (len(stats), HOURS_PER_WEEK) or not stats:
             raise InvalidArgumentError(f"rate matrix {rates.shape} is not (n_bs={len(stats)}, 168)")
@@ -297,19 +310,80 @@ def _nearest_by_scan(
 # A pick stands if it beats every other row by both rows' bounds, taken six times over.
 _PICK_MARGIN = 2048 * np.finfo(float).eps
 
+# The bases that _matched_rows does not evaluate get a lower bound from their ratios.  Take
+# a base with row sum S (as np.sum rounds it), 5th percentile p and span s, and a target
+# (peak, P, mean) with W = peak - P > 0; let g = S/168/s, h = p/s, c = P/W,
+# r = (S/168 - p)/s and rho = (mean - P)/W, each as floating point rounds it.  The scan
+# scales with a = W/s and b = P - a*p.  If no value clips, 168 times the scaled mean less
+# 168*mean is exactly Y = 168*W*((1 + alpha)*r' - rho') + 168*e, where r' and rho' are the
+# ratios without rounding, |alpha| <= u = 2**-53 is a's rounding and |e| <= u*(a*p + |b|)
+# is that of a*p and b.  Y is a*S[0] + 168*b - 168*mean before its last roundings, so it
+# is within the 700 units above of the scan's 168 times the base's deviation.  r rounds
+# three times and rho twice, each by at most u of its result, so
+#     |Y| / (168*W) >= |r - rho| - u*(g + 3*|r| + 2*h) - u*(c + 2*rho)
+# up to terms in u**2, which the factor 1 + 2**-40 covers.  The base's own _PICK_MARGIN
+# bound, in the same units, is at most _PICK_MARGIN*(g + rho + c) to the same factor.  So
+# the scan's deviation of the base, at least |Y| less that bound, is at least 168*W times
+# its distance |r - rho| less kappa(base) and kappa(target), where
+#     kappa(base) = _RATIO_ULP*(g + 3*|r| + 2*h) + _RATIO_PICK_MARGIN*g,
+#     kappa(target) = _RATIO_ULP*(c + 2*rho) + _RATIO_PICK_MARGIN*(rho + c).  Evaluating
+# that bound rounds a few more times, by units of |r| + rho + kappa: the sixfold slack in
+# _PICK_MARGIN takes those, as it takes the roundings of the evaluated bases' comparisons.
+_RATIO_ULP = 2.0**-53 * (1 + 2.0**-40)
+_RATIO_PICK_MARGIN = _PICK_MARGIN * (1 + 2.0**-40)
+# A base clips under a target only if a*min + b < 0, that is when P/W < (p - min)/s up to
+# the roundings of a, a*p and b, about three units of P/W and of p/s.  The matcher treats
+# a base as one that may clip where P/W <= (p - min + _CLIP_SLACK*p)/s*(1 + _CLIP_SLACK),
+# which covers those and the test's own four roundings with 32 units.
+_CLIP_SLACK = 2.0**-48
+# The bases evaluated on each side of a target's ratio
+_NEIGHBOURS = 1
+
+
+def _ratio_keys(sums: np.ndarray, p5s: np.ndarray, spans: np.ndarray):
+    """Each base's ratio r = (S/168 - p)/s and its margin kappa(base), as _RATIO_ULP states."""
+    means = sums / HOURS_PER_WEEK
+    ratios = (means - p5s) / spans
+    g = means / spans
+    kappa = _RATIO_ULP * (g + 3 * np.abs(ratios) + 2 * p5s / spans) + _RATIO_PICK_MARGIN * g
+    return ratios, kappa
+
+
+def _target_keys(t_peak: np.ndarray, t_p5: np.ndarray, t_mean: np.ndarray):
+    """Each target's width W, cut slope P/W, ratio rho and margin kappa(target).
+
+    A flat target (W = 0) keeps every value: its cut slope is inf, its ratio 0.
+    """
+    width = t_peak - t_p5
+    flat = width <= 0
+    cut_slope = np.divide(t_p5, width, out=np.full(width.shape, np.inf), where=~flat)
+    rho = np.divide(t_mean - t_p5, width, out=np.zeros(width.shape), where=~flat)
+    kappa = _RATIO_ULP * (cut_slope + 2 * rho) + _RATIO_PICK_MARGIN * (rho + cut_slope)
+    return width, cut_slope, rho, kappa
+
 
 def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray:
     """Per target, the scaled base trace whose mean is nearest the target mean.
 
     Take a base row with 5th percentile p5 and span peak - p5, and a = (target.peak -
-    target.p5)/span >= 0.  A value v adds a*v + b to the clipped sum only if v > -b/a,
-    which is p5 - span * target.p5/(target.peak - target.p5).  With the row sorted and S
-    its suffix sums, 168 times the clipped mean is a*S[n] + b*(168 - n), where n counts
-    the values at or below that cut: for each base row, one search and one lookup serve
-    all targets at once.  That sum rounds differently from _nearest_by_scan's mean, so a
-    pick stands only where its deviation plus its rounding bound is below every other
-    row's deviation minus that row's bound.  _nearest_by_scan decides the rest, exact
-    ties included, so every pick is the scan's.
+    target.p5)/span >= 0.  Its scaled values are a*v + b, clipped at 0, where b =
+    target.p5 - a*p5.  While none clips, the scaled mean is target.p5 + (target.peak -
+    target.p5)*r, with r = (mean - p5)/span the row's ratio: the nearest base is the one
+    whose r is nearest rho = (target.mean - target.p5)/(target.peak - target.p5).  So
+    one argsort of the rows' ratios and one searchsorted find, for every target, the
+    nearest base on each side of rho, and those two are evaluated.
+
+    A value v clips only if it lies at or below the cut p5 - span*target.p5/(target.peak
+    - target.p5), so a row clips only if its cut lies above its minimum, that is under a
+    target whose p5 is small next to its width.  Every row that may clip under a target
+    is evaluated too.  An evaluated row's 168 times clipped mean is a*S[n] + b*(168 - n),
+    with S the suffix sums of the sorted row and n the count of values at or below the
+    cut, and a rounding bound of _PICK_MARGIN.  Every other row gets a lower bound on its
+    deviation from its ratio distance, less the margins _RATIO_ULP derives; the prefix
+    maxima of r + kappa and the suffix minima of r - kappa give the least such bound on
+    each side of the evaluated window at once.  A pick stands only where its deviation plus its bound is
+    below every other row's bound.  _nearest_by_scan decides the rest, exact ties
+    included, so every pick is the scan's.
     """
     peaks = base_matrix.max(axis=1)
     p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
@@ -318,45 +392,98 @@ def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray
         raise NoCandidateError("all candidate base traces are degenerate")
     spans = np.where(usable, peaks - p5s, 1.0)  # degenerate rows are never picked
     t_peak, t_p5, t_mean = np.array([(t.peak, t.p5, t.mean) for t in targets], dtype=float).T
-    m = len(targets)
-    pick = np.zeros(m, dtype=np.intp)
-    pick_dev = np.full(m, np.inf)  # 168 times |mean - target mean| of the pick
-    low1, low2 = np.full(m, np.inf), np.full(m, np.inf)  # the two lowest dev - bound
-    suffix = np.zeros(HOURS_PER_WEEK + 1)  # suffix[n]: sum of the row's values from rank n up
-    # Magnitudes near the float limit can turn an estimate or a bound into inf or nan.
-    # np.minimum carries that into pick_dev, low1 or low2, and the scan decides.
+    # Magnitudes near the float limit can turn an estimate or a bound into inf or nan,
+    # which fails every comparison that would certify a pick: the scan decides.
     with np.errstate(over="ignore", invalid="ignore"):
-        row_bounds = _PICK_MARGIN * base_matrix.sum(axis=1)
-        width = t_peak - t_p5
-        t_sum = HOURS_PER_WEEK * t_mean
-        t_bound = _PICK_MARGIN * t_sum
-        # a flat target (peak == p5) keeps every value: its cut is -inf
-        cut_slope = np.divide(t_p5, width, out=np.full(m, np.inf), where=width > 0)
-        for i in np.flatnonzero(usable):
-            sorted_row = np.sort(base_matrix[i])
-            np.add.accumulate(sorted_row[::-1], out=suffix[-2::-1])
-            a = width / spans[i]
-            b = t_p5 - a * p5s[i]
-            n = np.searchsorted(sorted_row, p5s[i] - spans[i] * cut_slope, side="right")
-            dev = a * suffix[n]
-            dev += b * (HOURS_PER_WEEK - n)
-            dev -= t_sum
-            np.abs(dev, out=dev)
-            np.copyto(pick, i, where=dev < pick_dev)  # strict: ties keep the lower row
-            np.minimum(pick_dev, dev, out=pick_dev)
-            bound = a * row_bounds[i]
-            bound += t_bound
-            low = np.subtract(dev, bound, out=bound)
-            np.minimum(low2, np.maximum(low1, low), out=low2)
-            np.minimum(low1, low, out=low1)
-        pick_bound = width / spans[pick] * row_bounds[pick] + t_bound  # the loop's, to the bit
-        # the lowest dev - bound of the rows other than the pick
-        others = np.where(pick_dev - pick_bound == low1, low2, low1)
-        certain = pick_dev + pick_bound < others
+        pick, certain = _nearest_by_ratio(base_matrix, p5s, spans, usable, t_peak, t_p5, t_mean)
     for k in np.flatnonzero(~certain):
         pick[k] = _nearest_by_scan(base_matrix, p5s, spans, usable, t_peak[k], t_p5[k], t_mean[k])
     rows = base_matrix[pick]
     return _scale_rows(rows, p5s[pick], spans[pick], t_peak, t_p5, out=rows)
+
+
+def _nearest_by_ratio(
+    base_matrix: np.ndarray,
+    p5s: np.ndarray,
+    spans: np.ndarray,
+    usable: np.ndarray,
+    t_peak: np.ndarray,
+    t_p5: np.ndarray,
+    t_mean: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_matched_rows's search: each target's row, and whether the pick is certain."""
+    rows = np.flatnonzero(usable)
+    n = len(rows)
+    sums = base_matrix.sum(axis=1)[rows]
+    p5, span = p5s[rows], spans[rows]
+    row_bounds = _PICK_MARGIN * sums
+    ratios, kappa = _ratio_keys(sums, p5, span)
+    mins = base_matrix.min(axis=1)[rows]
+    clip_slope = (p5 - mins + _CLIP_SLACK * p5) / span * (1 + _CLIP_SLACK)
+    width, cut_slope, rho, t_kappa = _target_keys(t_peak, t_p5, t_mean)
+    t_sum = HOURS_PER_WEEK * t_mean
+    t_bound = _PICK_MARGIN * t_sum
+    order = np.argsort(ratios, kind="stable")
+    sorted_ratios = ratios[order]
+    # below[k]: the most r + kappa of the rows sorted before k; above[k]: the least
+    # r - kappa of the rows sorted from k on
+    below = np.full(n + 1, -np.inf)
+    np.maximum.accumulate(sorted_ratios + kappa[order], out=below[1:])
+    above = np.full(n + 1, np.inf)
+    np.minimum.accumulate((sorted_ratios - kappa[order])[::-1], out=above[-2::-1])
+
+    # the window: the _NEIGHBOURS rows on each side of rho, shifted inward at either end
+    w = min(2 * _NEIGHBOURS, n)
+    lo = np.clip(np.searchsorted(sorted_ratios, rho) - _NEIGHBOURS, 0, n - w)
+    window = order[lo[:, None] + np.arange(w)]
+    a = width[:, None] / span[window]
+    b = t_p5[:, None] - a * p5[window]
+    dev = a * sums[window]  # no value clips: the suffix sum from rank 0 is the row sum
+    dev += b * HOURS_PER_WEEK
+    dev -= t_sum[:, None]
+    np.abs(dev, out=dev)
+    bound = a * row_bounds[window] + t_bound[:, None]
+    low = dev - bound
+    clips = clip_slope[window] >= cut_slope[:, None]  # these are evaluated below
+    dev[clips] = np.inf
+    low[clips] = np.inf
+    each = np.arange(len(width))
+    best = np.argmin(dev, axis=1)  # a nan comes first, and then nothing is certain
+    pick_dev = dev[each, best]
+    pick_bound = bound[each, best]
+    pick = window[each, best]
+    low[each, best] = np.inf
+    others = low.min(axis=1)  # the least dev - bound of the other evaluated rows
+
+    # every row that may clip under a target, with the targets it may clip under
+    by_slope = np.argsort(cut_slope, kind="stable")
+    sorted_slopes = cut_slope[by_slope]
+    suffix = np.zeros(HOURS_PER_WEEK + 1)  # suffix[n]: sum of the row's values from rank n up
+    for i in np.flatnonzero(clip_slope >= sorted_slopes[0]):
+        sel = by_slope[: np.searchsorted(sorted_slopes, clip_slope[i], side="right")]
+        sorted_row = np.sort(base_matrix[rows[i]])
+        np.add.accumulate(sorted_row[::-1], out=suffix[-2::-1])
+        a = width[sel] / span[i]
+        b = t_p5[sel] - a * p5[i]
+        cut = np.searchsorted(sorted_row, p5[i] - span[i] * cut_slope[sel], side="right")
+        dev = a * suffix[cut]
+        dev += b * (HOURS_PER_WEEK - cut)
+        dev -= t_sum[sel]
+        np.abs(dev, out=dev)
+        bound = a * row_bounds[i] + t_bound[sel]
+        better = dev < pick_dev[sel]  # strict, and false for a nan
+        loser = np.where(better, pick_dev[sel] - pick_bound[sel], dev - bound)
+        others[sel] = np.minimum(others[sel], loser)
+        pick[sel] = np.where(better, i, pick[sel])
+        pick_dev[sel] = np.where(better, dev, pick_dev[sel])
+        pick_bound[sel] = np.where(better, bound, pick_bound[sel])
+
+    # every row outside the window and not evaluated above has the bound of its ratio
+    hi = lo + w
+    reach = np.minimum(above[hi] - rho, rho - below[lo]) - t_kappa
+    others = np.minimum(others, HOURS_PER_WEEK * width * reach)
+    certain = (pick_dev + pick_bound < others) & (width > 0)
+    return rows[pick], certain
 
 
 def build_scenario(
@@ -370,7 +497,7 @@ def build_scenario(
     bases = generate_base_traces(n_bases, seed)
     stats = generate_target_stats(m_targets, seed, **stats_kwargs)
     rates = _matched_rows(np.stack([t.values for t in bases]), stats)
-    return TrafficScenario(rate_matrix=rates, stats=tuple(stats), area_km2=area_km2)
+    return TrafficScenario._adopt(rates, tuple(stats), area_km2)
 
 
 def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: str | Path) -> None:
@@ -383,12 +510,19 @@ def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: s
         fh.write(",".join(_CSV_ROW.names) + "\r\n")
         for i, row in enumerate(scenario.rate_matrix):
             fh.write(row_template.replace("{i}", str(i)) % tuple(row.tolist()))
-    sidecar = {
-        "area_km2": scenario.area_km2,
-        "n_bs": scenario.n_bs,
-        "stats": [vars(s) for s in scenario.stats],
-    }
-    stats_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    # the bytes json.dumps(sidecar, indent=2) + "\n" would write, one %-template per BS:
+    # json writes a float as its repr and an int as its digits, which %r does for exactly
+    # those two types
+    head = (scenario.area_km2, scenario.n_bs)
+    entries = [tuple(vars(s).values()) for s in scenario.stats]
+    if any(type(v) not in (float, int) for e in (head, *entries) for v in e):
+        # json's own rendering of any other number type, or its TypeError
+        head, entries = json.loads(json.dumps([head, entries]))
+    entry = "    {\n" + ",\n".join(f'      "{f.name}": %r' for f in fields(BSStats)) + "\n    }"
+    with stats_path.open("w") as fh:
+        fh.write('{\n  "area_km2": %r,\n  "n_bs": %r,\n  "stats": [\n' % tuple(head))
+        fh.write(",\n".join(entry % tuple(e) for e in entries))
+        fh.write("\n  ]\n}\n")
 
 
 def _rows(text: bytes) -> np.ndarray:
@@ -449,4 +583,4 @@ def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenar
             raise InvalidArgumentError(f"sidecar n_bs {sidecar['n_bs']!r} != {n_bs} stats")
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed scenario sidecar {stats_path}: {exc!r}") from exc
-    return TrafficScenario(rate_matrix=_read_rates(csv_path, n_bs), stats=stats, area_km2=area_km2)
+    return TrafficScenario._adopt(_read_rates(csv_path, n_bs), stats, area_km2)

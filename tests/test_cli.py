@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -36,6 +37,18 @@ ue_density_per_km2 = 100
 """
 
 
+# the tiny scenario that CI builds
+TINY_CONFIG = """\
+[scenario]
+n_bases = 60
+m_targets = 40
+seed = 11
+
+[study]
+ue_density_per_km2 = 100
+"""
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "small.ini"
@@ -66,6 +79,22 @@ class TestScenarioCommand:
         assert main(["scenario", "--config", config_file, "--out", str(tmp_path)]) == 0
         for name in ("scenario.csv", "scenario_stats.json"):
             assert (tmp_path / name).read_bytes() == (Path(scenario_dir) / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, config", [("tiny", TINY_CONFIG), ("default-seed42", "[scenario]\nseed = 42\n")]
+    )
+    def test_bytes_match_the_pinned_digests(self, tmp_path, name, config):
+        # tests/data/scenario.sha256 holds each file's digest under <name>/scenario/, in
+        # sha256sum's format; CI checks the tiny entries with sha256sum -c as well
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(config)
+        out = tmp_path / name / "scenario"
+        assert main(["scenario", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (Path(__file__).parent / "data" / "scenario.sha256").read_text().splitlines()
+        pinned = {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+        for file in ("scenario.csv", "scenario_stats.json"):
+            digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
+            assert digest == pinned[f"{name}/scenario/{file}"], file
 
     def test_never_sorts_hours(self, config_file, tmp_path, monkeypatch):
         # the hour order serves the trials only; building a scenario must not pay for it

@@ -4,11 +4,12 @@ import json
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hapsran import (
@@ -443,6 +444,17 @@ def _matcher_cases(draw):
     return np.array(rows), draw(st.lists(_targets, min_size=1, max_size=6))
 
 
+def _bases(n, seed):
+    return np.stack([t.values for t in generate_base_traces(n, seed=seed)])
+
+
+def _ratios(base_matrix):
+    """Each row's (mean - p5) / span: while nothing clips, a target's scaled mean lies
+    this fraction of the way from its p5 to its peak."""
+    p5 = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
+    return (base_matrix.mean(axis=1) - p5) / (base_matrix.max(axis=1) - p5)
+
+
 class TestMatcherEqualsScan:
     """_matched_rows returns the exhaustive scan's rows, bit for bit."""
 
@@ -499,6 +511,128 @@ class TestMatcherEqualsScan:
         assert_matches_scan(base_matrix, targets)
         assert picks == [1] * len(targets)
 
+    def test_ratios_beyond_the_bases_take_no_scan(self, monkeypatch):
+        # at either end of the ratio order the window shifts inward, so the pick is never
+        # evaluated twice and counted as its own competitor
+        picks = count_scans(monkeypatch)
+        base_matrix = _bases(50, seed=8)
+        ratios = _ratios(base_matrix)
+        fracs = (0.0, 0.001, 0.999, 1.0)
+        targets = [_target(peak, 0.3, frac) for peak in (2.0, 40.0, 300.0) for frac in fracs]
+        assert max(fracs[:2]) < ratios.min() and ratios.max() < min(fracs[2:])
+        assert_matches_scan(base_matrix, targets)
+        assert picks == []
+
+    def test_cluster_wider_than_the_window_takes_the_scan(self, monkeypatch):
+        # one shape at twelve levels: their ratios and scaled means agree up to rounding,
+        # so the rows outside the evaluated window may beat its pick
+        picks = count_scans(monkeypatch)
+        shape = generate_base_traces(1, seed=9)[0].values
+        cluster = np.random.default_rng(9).uniform(0.5, 2.0, 12)[:, None] * shape
+        assert np.ptp(_ratios(cluster)) < 1e-14
+        base_matrix = np.vstack([_bases(30, seed=9), cluster])
+        r = _ratios(shape[None])[0]
+        fracs = (0.999 * r, r, 1.001 * r)
+        targets = [_target(peak, 0.3, frac) for peak in (1.0, 7.0, 90.0) for frac in fracs]
+        assert_matches_scan(base_matrix, targets)
+        assert len(picks) == len(targets)
+
+    def test_neighbour_beyond_a_clipping_row_is_evaluated(self, monkeypatch):
+        # The row nearest the target's ratio clips under it, which lifts its scaled mean
+        # well past the target's: the pick is the nearest row on the other side, and it
+        # is certain because the nearest row on each side of the ratio is evaluated.
+        picks = count_scans(monkeypatch)
+        rows = _bases(40, seed=15)
+        ratios = _ratios(rows)
+        order = np.argsort(ratios)
+        pick = order[10]
+        shape = rows[order[np.searchsorted(ratios[order], ratios[pick] + 0.05)]]
+        # A floor leaves a row's ratio as it is.  Zeroing the row's P5_RANK lowest values
+        # then lowers it by their sum / (168 * span): here to 0.01 below the pick's.
+        span, lowest = np.ptp(shape), np.sort(shape)[: traffic._P5_RANK]
+        drop = _ratios(shape[None])[0] - ratios[pick] + 0.01
+        clipper = shape + (drop * HOURS_PER_WEEK * span / traffic._P5_RANK - lowest.mean())
+        clipper[np.argsort(clipper)[: traffic._P5_RANK]] = 0.0
+        base_matrix = np.vstack([rows[np.abs(ratios - ratios[pick]) > 0.03], clipper, rows[pick]])
+        rho = ratios[pick] - 0.006
+        assert rho - _ratios(clipper[None])[0] < ratios[pick] - rho  # the clipper is nearer
+        target = _target(50.0, 1 / 6, rho)  # target.p5 = (target.peak - target.p5) / 5
+        expected = assert_matches_scan(base_matrix, [target])
+        assert np.array_equal(expected, scan_reference(rows[pick][None], [target]))
+        assert picks == []
+
+    def test_rows_clip_under_some_targets_only(self):
+        # raised floors with a trough of zeros below the 5th percentile: a row clips
+        # under the targets whose p5 / (peak - p5) lies below its (p5 - min) / span
+        rng = np.random.default_rng(10)
+        base_matrix = _bases(40, seed=10)
+        floors = rng.uniform(0.0, 1.5, (20, 1)) * np.ptp(base_matrix[::2], axis=1, keepdims=True)
+        base_matrix[::2] += floors
+        trough = np.argsort(base_matrix[::2], axis=1)[:, : traffic._P5_RANK]
+        np.put_along_axis(base_matrix[::2], trough, 0.0, axis=1)
+        targets = generate_target_stats(40, seed=10)
+        p5 = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
+        clip_slope = (p5 - base_matrix.min(axis=1)) / (base_matrix.max(axis=1) - p5)
+        cut_slope = np.array([t.p5 / (t.peak - t.p5) for t in targets])
+        assert np.any((cut_slope.min() < clip_slope) & (clip_slope < cut_slope.max()))
+        expected = assert_matches_scan(base_matrix, targets)
+        assert 0 < np.count_nonzero(expected.min(axis=1) == 0) < len(targets)
+
+    def test_flat_and_zero_p5_targets_among_others(self):
+        base_matrix = _bases(40, seed=12)
+        ordinary = generate_target_stats(12, seed=12)
+        flat = [_target(0.5, 1.0, 0.5), BSStats(0, 0, 0, 1, 1), _target(20.0, 1.0, 0.5)]
+        zero_p5 = [_target(3.0, 0.0, 0.2), _target(50.0, 0.0, 0.45)]
+        targets = ordinary[:4] + flat[:2] + ordinary[4:8] + zero_p5 + flat[2:] + ordinary[8:]
+        assert_matches_scan(base_matrix, targets)
+
+    def test_huge_row(self):
+        # its sum overflows, and with it its ratio and margin: the scan decides
+        huge = np.random.default_rng(13).uniform(0.0, 1.0, HOURS_PER_WEEK) * 1e308
+        base_matrix = np.insert(_bases(30, seed=13), 11, huge, axis=0)
+        assert_matches_scan(base_matrix, generate_target_stats(20, seed=13))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_moderate_scale_takes_no_scan(self, monkeypatch, seed):
+        picks = count_scans(monkeypatch)
+        assert_matches_scan(_bases(300, seed), generate_target_stats(200, seed))
+        assert picks == []
+
+    def test_ratio_bound_is_sound_and_tight(self):
+        # For a row that does not clip, 168 * W * (|r - rho| - kappa(base) - kappa(target))
+        # is at most its exact deviation less its _PICK_MARGIN bound.  The margins allow
+        # for the rounding of r, rho, a and b; over these draws more than half of that
+        # allowance is used up at least once.
+        rng = np.random.default_rng(14)
+        used = []
+        for _ in range(300):
+            row = rng.uniform(0.5, 2.0, HOURS_PER_WEEK) * 2.0 ** rng.integers(-4, 5)
+            p5 = np.partition(row, traffic._P5_RANK)[traffic._P5_RANK : traffic._P5_RANK + 1]
+            span = np.max(row, keepdims=True) - p5
+            sums = np.sum(row, keepdims=True)
+            ratio, kappa = traffic._ratio_keys(sums, p5, span)
+            floor = float(rng.uniform(0.5, 2.0)) * 10.0 ** rng.uniform(-3, 2)
+            peak = floor + float(rng.uniform(0.5, 2.0))
+            frac = min(float(ratio[0]) * rng.uniform(0.2, 1.8), 1.0)
+            mean = min(floor + (peak - floor) * frac, peak)
+            width, _, rho, t_kappa = traffic._target_keys(
+                np.array([peak]), np.array([floor]), np.array([mean])
+            )
+            a = width[0] / span[0]  # the scan's a and b
+            b = floor - a * p5[0]
+            exact = [Fraction(float(x)) for x in (a, b, sums[0], mean, width[0], row.min())]
+            a, b, total, mean, width, low = exact
+            if a * low + b < 0:
+                continue  # a value clips
+            dev = abs(a * total + HOURS_PER_WEEK * b - HOURS_PER_WEEK * mean)
+            bound = Fraction(traffic._PICK_MARGIN) * (a * total + HOURS_PER_WEEK * mean)
+            dist = abs(Fraction(float(ratio[0])) - Fraction(float(rho[0])))
+            margin = Fraction(float(kappa[0])) + Fraction(float(t_kappa[0]))
+            assert dev - bound >= HOURS_PER_WEEK * width * (dist - margin)
+            rounding = dist - dev / (HOURS_PER_WEEK * width)
+            used.append(rounding / (margin - bound / (HOURS_PER_WEEK * width)))
+        assert len(used) > 200 and max(used) > 0.5
+
 
 class TestTrafficScenario:
     @pytest.mark.parametrize("defect", ["rows", "hours", "nan", "negative", "over_cap"])
@@ -517,6 +651,54 @@ class TestTrafficScenario:
             rates[3, 7] = stats[3].max_load * stats[3].capacity * 1.01
         with pytest.raises(InvalidArgumentError):
             TrafficScenario(rate_matrix=rates, stats=stats)
+
+
+    def test_built_and_loaded_matrices_are_held_without_a_copy(self, monkeypatch, tmp_path):
+        made = []
+
+        def keeping(function):
+            def wrapper(*args):
+                made.append(function(*args))
+                return made[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(traffic, "_matched_rows", keeping(traffic._matched_rows))
+        monkeypatch.setattr(traffic, "_read_rates", keeping(traffic._read_rates))
+        built = build_scenario(8, 3, seed=5)
+        save_scenario(built, tmp_path / "s.csv", tmp_path / "s.json")
+        loaded = load_scenario(tmp_path / "s.csv", tmp_path / "s.json")
+        assert np.shares_memory(made[0], built.rate_matrix)
+        assert np.shares_memory(made[1], loaded.rate_matrix)
+        assert not built.rate_matrix.flags.writeable and not loaded.rate_matrix.flags.writeable
+
+    def test_a_callers_matrix_stays_its_own(self, small_scenario):
+        rates = np.array(small_scenario.rate_matrix)
+        scenario = TrafficScenario(rate_matrix=rates, stats=small_scenario.stats)
+        assert rates.flags.writeable
+        assert not np.shares_memory(rates, scenario.rate_matrix)
+        assert not scenario.rate_matrix.flags.writeable
+
+
+# numbers as a sidecar may hold them: ints as json.loads reads them, numpy floats, zero,
+# the least subnormal, 17-digit floats and values near the float limit
+_sidecar_number = st.one_of(
+    st.integers(0, 2**60),
+    st.sampled_from([0.0, 5e-324, 0.30000000000000004, 1.2345678901234567e-7, 1.79e308]),
+    st.floats(0.0, 1.79e308),
+    st.floats(0.0, 1e6).map(np.float64),
+)
+
+
+@st.composite
+def _sidecar_stats(draw):
+    p5, mean, peak = sorted(draw(st.lists(_sidecar_number, min_size=3, max_size=3)))
+    max_load = draw(st.sampled_from([1, 1.0, 0.5, 0.30000000000000004]))
+    capacity = draw(_sidecar_number)
+    if capacity * max_load < max(peak, 1e-300):  # the least capacity that carries the peak
+        capacity = max(peak / max_load, 1e-300)
+    assume(capacity <= 1.79e308)
+    return BSStats(peak=peak, p5=p5, mean=mean, capacity=capacity, max_load=max_load)
 
 
 class TestScenarioIO:
@@ -565,6 +747,25 @@ class TestScenarioIO:
             loaded = load_scenario(csv_path, stats_path)
         assert np.array_equal(loaded.rate_matrix, rates)
         assert loaded.stats == stats
+
+
+    @given(
+        stats=st.lists(_sidecar_stats(), min_size=1, max_size=4),
+        area=st.sampled_from([30, 30.0, 2.5e-3, 1.79e308]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sidecar_is_json_dumps_with_indent_2(self, stats, area):
+        scenario = TrafficScenario(
+            rate_matrix=np.zeros((len(stats), HOURS_PER_WEEK)), stats=tuple(stats), area_km2=area
+        )
+        sidecar = {"area_km2": area, "n_bs": len(stats), "stats": [vars(s) for s in stats]}
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, stats_path = Path(tmp) / "s.csv", Path(tmp) / "s.json"
+            save_scenario(scenario, csv_path, stats_path)
+            assert stats_path.read_bytes() == (json.dumps(sidecar, indent=2) + "\n").encode()
+            loaded = load_scenario(csv_path, stats_path)
+        assert loaded.stats == tuple(stats)
+        assert loaded.area_km2 == area
 
 
 @pytest.fixture(scope="module")
