@@ -146,9 +146,14 @@ class ChannelTables:
     bel: dict[str, BelCoefficients]
 
     def __post_init__(self):
+        for name in ("environment", "band"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidArgumentError(f"channel tables: {name!r} must be a string")
         n = len(self.angles_deg)
         if n == 0 or any(a >= b for a, b in zip(self.angles_deg, self.angles_deg[1:])):
             raise InvalidArgumentError(f"angles_deg {self.angles_deg} is not strictly ascending")
+        if not (0 <= self.angles_deg[0] and self.angles_deg[-1] <= 90):
+            raise InvalidArgumentError(f"angles_deg {self.angles_deg} must lie in [0, 90] degrees")
         for name in ("los_prob", "sf_sigma_los", "sf_sigma_nlos", "clutter_los", "clutter_nlos"):
             if len(getattr(self, name)) != n:
                 raise InvalidArgumentError(f"{name} must have one entry per angle bucket")

@@ -102,10 +102,12 @@ def write_figure45_csv(
     """Each trial's hourly offloaded fraction (offloaded rate / demand) and capacity
     utilization (demand / (c_haps + the active BSs' capacity)).
 
-    Both ratios are taken for a whole trial at once and its 168 rows written as one
-    string, with the bytes csv.writer gives for the same cells.
+    Demand is the last column of the running sum whose column k is the offloaded rate,
+    so the fraction is at most 1, and exactly 1 when every BS sleeps.  Both ratios are
+    taken for a whole trial at once and its 168 rows written as one string, with the
+    bytes csv.writer gives for the same cells.
     """
-    demand = scenario.hourly_demand
+    demand = scenario.hour_order.cum_rate[:, -1]
     zero = np.flatnonzero(demand <= 0)
     if zero.size:
         raise UndefinedMetricError(f"zero traffic demand at hour {zero[0]}")

@@ -70,6 +70,7 @@ class StudyConfig:
             ("study", "elevation_set",
              all(lo <= e <= hi and 0 < e <= 90 for e in self.elevation_set),
              f"within the channel tables' [{lo}, {hi}] degrees and (0, 90]"),
+            ("study", "master_seed", self.master_seed >= 0, ">= 0"),
             ("study", "n_carriers", self.n_carriers >= 1, ">= 1"),
             ("study", "ue_density_per_km2", self.ue_density_per_km2 > 0, "positive"),
             ("study", "aggregation", self.aggregation in AGGREGATIONS, f"one of {AGGREGATIONS}"),

@@ -183,16 +183,12 @@ class TrafficScenario:
         """The trial-independent sort of every hour, built on first use."""
         return sort_hours(self.rate_matrix, self.capacities)
 
-    @cached_property
-    def hourly_demand(self) -> np.ndarray:
-        """(168,) summed rate of each hour.
 
-        Each is its own column's sum: rate_matrix.sum(axis=0) adds in another order
-        and can round differently.
-        """
-        demand = np.array([column.sum() for column in self.rate_matrix.T])
-        demand.flags.writeable = False
-        return demand
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """The generator of one seed's tagged stream; SeedSequence takes no negative seed."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, tag]))
 
 
 def generate_base_traces(n: int, seed: int) -> list[WeeklyTrace]:
@@ -206,7 +202,7 @@ def generate_base_traces(n: int, seed: int) -> list[WeeklyTrace]:
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7AFF]))
+    rng = _stream(seed, 0x7AFF)
     u = np.empty((n, 4))
     traces = np.empty((n, HOURS_PER_WEEK))  # each row its noise, then times amplitude * shape
     for k in range(n):
@@ -243,7 +239,7 @@ def generate_target_stats(
     """
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got {m}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57A7]))
+    rng = _stream(seed, 0x57A7)
     lows, highs = zip(capacity_range, max_load_range, peak_load_range, p5_ratio_range, (0.25, 0.5))
     capacity, max_load, peak_frac, p5_frac, mean_frac = rng.uniform(lows, highs, size=(m, 5)).T
     peak = capacity * max_load * peak_frac
@@ -579,7 +575,8 @@ def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenar
     try:
         stats = tuple(BSStats(**entry) for entry in sidecar["stats"])
         n_bs, area_km2 = len(stats), sidecar["area_km2"]
-        if sidecar["n_bs"] != n_bs:
+        # JSON true and 1.0 equal 1, so the type is checked as well
+        if type(sidecar["n_bs"]) is not int or sidecar["n_bs"] != n_bs:
             raise InvalidArgumentError(f"sidecar n_bs {sidecar['n_bs']!r} != {n_bs} stats")
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed scenario sidecar {stats_path}: {exc!r}") from exc

@@ -1,0 +1,284 @@
+"""Malformed inputs at the three boundaries: a channel-table file, a scenario sidecar and
+the HAPSRAN_* variables.
+
+Each mutation changes one thing in a valid input.  It must raise InvalidArgumentError in
+the library and, through main, exit 2 (3 for JSON that does not parse) before any trial
+runs or any output directory is made.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+from importlib import resources
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hapsran import (
+    InvalidArgumentError,
+    build_scenario,
+    load_channel_tables,
+    load_scenario,
+    save_scenario,
+)
+from hapsran import cli, montecarlo
+from hapsran.cli import SCHEMA, main
+
+BUNDLED_TABLES = json.loads(
+    (resources.files("hapsran.data") / "channel_tables_s_band_dense_urban.json").read_text()
+)
+
+SMALL_CONFIG = """\
+[scenario]
+n_bases = 30
+m_targets = 20
+seed = 9
+
+[study]
+trials = 2
+ue_density_per_km2 = 100
+"""
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A config, the scenario it builds, and a one-BS and a three-BS scenario."""
+    base = tmp_path_factory.mktemp("boundaries")
+    (base / "small.ini").write_text(SMALL_CONFIG)
+    assert main(["scenario", "--config", str(base / "small.ini"), "--out", str(base / "scenario")]) == 0
+    for n in (1, 3):
+        out = base / f"bs{n}"
+        out.mkdir()
+        save_scenario(build_scenario(8, n, seed=5), out / "scenario.csv", out / "scenario_stats.json")
+    return base
+
+
+def run_main(argv: list[str]) -> tuple[int, int, str]:
+    """main(argv)'s exit code, the trials it ran and its stderr."""
+    trials = []
+    real = montecarlo.run_trial
+
+    def counting(*args, **kwargs):
+        trials.append(args)
+        return real(*args, **kwargs)
+
+    err = io.StringIO()
+    with mock.patch.object(montecarlo, "run_trial", counting), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, len(trials), err.getvalue()
+
+
+def fresh_out(workdir: Path) -> Path:
+    """An output path that no earlier call has made, so one escape fails one example only."""
+    return Path(tempfile.mkdtemp(dir=workdir)) / "out"
+
+
+def run_argv(workdir: Path, out: Path, *extra: str, scenario: Path | None = None) -> list[str]:
+    scenario = scenario or workdir / "scenario"
+    return ["run", "--config", str(workdir / "small.ini"), "--scenario", str(scenario),
+            "--out", str(out), *extra]
+
+
+def assert_rejected(argv: list[str], out: Path, code: int = 2) -> None:
+    exit_code, trials, err = run_main(argv)
+    assert (exit_code, trials) == (code, 0), err
+    assert not out.exists()
+
+
+# replacements of a JSON value by another type, by a non-finite number or by a negative one
+_NULL_BOOL = st.one_of(st.none(), st.booleans())
+_STRING = st.text(max_size=4)
+_LIST = st.lists(st.integers(0, 9), max_size=2)
+_DICT = st.dictionaries(st.sampled_from("ab"), st.integers(0, 9), max_size=2)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(min_value=-1e308, max_value=-1e-300))
+
+
+def _leaves(doc, path=()):
+    """The path of every scalar in a JSON document, list entries included."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+TABLE_LEAVES = list(_leaves(BUNDLED_TABLES))
+TABLE_LISTS = [path for path in {leaf[:-1] for leaf in TABLE_LEAVES}
+               if isinstance(_at(BUNDLED_TABLES, path), list)]
+
+
+@st.composite
+def table_mutation(draw):
+    """(what changed, the bundled tables with one leaf replaced or removed, the angles
+    permuted, or a list shortened)."""
+    doc = json.loads(json.dumps(BUNDLED_TABLES))
+    kind = draw(st.sampled_from(["replace", "remove", "permute", "shorten"]))
+    if kind == "permute":
+        angles = doc["angles_deg"]
+        doc["angles_deg"] = draw(st.permutations(angles).filter(lambda p: p != angles))
+        return "angles_deg permuted", doc
+    if kind == "shorten":
+        path = draw(st.sampled_from(sorted(TABLE_LISTS)))
+        values = _at(doc, path)
+        del values[draw(st.integers(0, len(values) - 1)):]
+        return f"{path} cut to {len(values)}", doc
+    path = draw(st.sampled_from(TABLE_LEAVES))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if kind == "remove":
+        del parent[key]  # from a list, this shortens it
+        return f"{path} removed", doc
+    if isinstance(parent[key], str):
+        value = draw(st.one_of(_NULL_BOOL, _LIST, _DICT, _NON_FINITE, _NEGATIVE))
+    else:
+        kinds = [_NULL_BOOL, _STRING, _LIST, _DICT, _NON_FINITE]
+        if path[0] != "bel":  # entry-loss coefficients may be negative
+            kinds.append(_NEGATIVE)
+        value = draw(st.one_of(kinds))
+    parent[key] = value
+    return f"{path} = {value!r}", doc
+
+
+class TestChannelTables:
+    @given(mutation=table_mutation())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_tables_are_rejected(self, workdir, mutation):
+        what, doc = mutation
+        path = workdir / "tables.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidArgumentError):
+            load_channel_tables(path)
+        out = fresh_out(workdir)
+        assert_rejected(run_argv(workdir, out, "--channel-tables", str(path)), out)
+
+    def test_unparsable_tables_exit_3(self, workdir, tmp_path):
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(BUNDLED_TABLES)[:-1])
+        out = tmp_path / "out"
+        assert_rejected(run_argv(workdir, out, "--channel-tables", str(path)), out, code=3)
+
+
+_STAT_FIELDS = ("peak", "p5", "mean", "capacity", "max_load")
+
+
+@st.composite
+def sidecar_mutation(draw, n_bs: int):
+    """(a path into a sidecar of n_bs stats, its replacement or ... to remove it):
+    one top-level key or one stat field."""
+    path = draw(st.one_of(
+        st.tuples(st.sampled_from(["area_km2", "n_bs", "stats"])),
+        st.tuples(st.just("stats"), st.integers(0, n_bs - 1), st.sampled_from(_STAT_FIELDS)),
+    ))
+    value = draw(st.one_of(_NULL_BOOL, _STRING, _LIST, _DICT, _NON_FINITE, _NEGATIVE, st.just(...)))
+    return path, value
+
+
+def _mutated_sidecar(workdir: Path, n_bs: int, path, value) -> Path:
+    """A copy of the n_bs scenario whose sidecar has path set to value (... removes it)."""
+    source = workdir / f"bs{n_bs}"
+    sidecar = json.loads((source / "scenario_stats.json").read_text())
+    parent = _at(sidecar, path[:-1])
+    if value is ...:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    out = workdir / f"mutated{n_bs}"
+    out.mkdir(exist_ok=True)
+    (out / "scenario.csv").write_bytes((source / "scenario.csv").read_bytes())
+    (out / "scenario_stats.json").write_text(json.dumps(sidecar))
+    return out
+
+
+class TestScenarioSidecar:
+    @pytest.mark.parametrize("n_bs", [1, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_sidecar_is_rejected(self, workdir, n_bs, data):
+        path, value = data.draw(sidecar_mutation(n_bs))
+        scenario = _mutated_sidecar(workdir, n_bs, path, value)
+        with pytest.raises(InvalidArgumentError):
+            load_scenario(scenario / "scenario.csv", scenario / "scenario_stats.json")
+        out = fresh_out(workdir)
+        assert_rejected(run_argv(workdir, out, scenario=scenario), out)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_n_bs_must_be_an_int(self, workdir, value):
+        # each equals 1, the count of one BS's stats
+        scenario = _mutated_sidecar(workdir, 1, ("n_bs",), value)
+        with pytest.raises(InvalidArgumentError, match="n_bs"):
+            load_scenario(scenario / "scenario.csv", scenario / "scenario_stats.json")
+
+    def test_unparsable_sidecar_exits_3(self, workdir, tmp_path):
+        scenario = _mutated_sidecar(workdir, 3, ("n_bs",), 3)
+        text = (scenario / "scenario_stats.json").read_text()
+        (scenario / "scenario_stats.json").write_text(text[:-1])
+        out = tmp_path / "out"
+        assert_rejected(run_argv(workdir, out, scenario=scenario), out, code=3)
+
+
+# text that no SCHEMA parser reads: int, float and a comma-separated float list
+_UNPARSABLE = ["", "abc", "0x1f", "1 2", "1;2"]
+_NOT_FINITE = ["nan", "inf", "-inf", "1e309"]
+# parsable values outside each setting's domain
+_OUT_OF_DOMAIN = {
+    "scenario": {"n_bases": ["0", "-1"], "m_targets": ["0", "-1"], "seed": ["-1"],
+                 "area_km2": ["0", "-1"]},
+    "energy": {"e0": ["-1"], "e_bb": ["-1"], "e_tran": ["-1"], "e_pa": ["-1"],
+               "eta": ["0", "1.5"], "p_tx_w": ["0", "-1"], "dt_s": ["0", "-1"]},
+    "link": {"n_rows": ["0", "-1"], "m_cols": ["0", "-1"], "f_c_ghz": ["0", "-1"],
+             "haps_height_km": ["0", "-1"], "bandwidth_hz": ["0", "-1"]},
+    "study": {"trials": ["0", "-1"], "master_seed": ["-1"],
+              "elevation_set": ["0", "-10", "95", "60,95"],
+              "indoor_min": ["-0.5", "1.5"], "indoor_max": ["-0.5", "1.5"],
+              "traditional_min": ["-0.5", "1.5"], "traditional_max": ["-0.5", "1.5"],
+              "ue_density_per_km2": ["0", "-1"], "n_carriers": ["0", "-1"],
+              "aggregation": ["", "bogus", "MEAN"]},
+    "offload": {"min_active_frac": ["-0.1", "1.5"]},
+}
+SETTINGS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+
+
+def _malformed(section: str, key: str) -> list[str]:
+    parse = SCHEMA[section][key]
+    if parse is str:
+        texts = []
+    elif parse is int:
+        texts = _UNPARSABLE + ["1.5", "1e3"]
+    else:
+        texts = _UNPARSABLE + _NOT_FINITE
+    return texts + _OUT_OF_DOMAIN[section].get(key, [])
+
+
+class TestEnvironment:
+    def test_out_of_domain_values_name_settings(self):
+        for section, keys in _OUT_OF_DOMAIN.items():
+            assert set(keys) <= set(SCHEMA[section]), section
+
+    @pytest.mark.parametrize("section, key", SETTINGS, ids=[f"{s}.{k}" for s, k in SETTINGS])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_malformed_variable_is_rejected(self, workdir, section, key, data):
+        value = data.draw(st.sampled_from(_malformed(section, key)), label="value")
+        out = fresh_out(workdir)
+        if section == "scenario":
+            argv = ["scenario", "--config", str(workdir / "small.ini"), "--out", str(out)]
+        else:
+            argv = run_argv(workdir, out)
+        with mock.patch.dict(os.environ, {cli._env_key(section, key): value}):
+            args = cli.build_parser().parse_args(argv)
+            with pytest.raises(InvalidArgumentError):
+                args.func(args)
+            assert_rejected(argv, out)

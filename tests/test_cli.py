@@ -137,6 +137,20 @@ class TestRunCommand:
         assert code == 0
         assert len((tmp_path / "figure3.csv").read_text().splitlines()) == 3
 
+    def test_every_bs_asleep_offloads_exactly_all(self, tmp_path):
+        # 1000 carriers carry every hour of the tiny scenario, and no BS must stay on
+        cfg = tmp_path / "asleep.ini"
+        cfg.write_text(TINY_CONFIG + "n_carriers = 1000\n\n[offload]\nmin_active_frac = 0\n")
+        scenario, out = tmp_path / "scenario", tmp_path / "results"
+        assert main(["scenario", "--config", str(cfg), "--out", str(scenario)]) == 0
+        argv = ["run", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out),
+                "--trials", "2"]
+        assert main(argv) == 0
+        with (out / "figure45.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 168
+        assert {row["offloaded_frac"] for row in rows} == {"1.0"}
+
     def test_missing_scenario_exit_2(self, config_file, tmp_path):
         code = main(
             ["run", "--config", config_file, "--scenario", str(tmp_path), "--out", str(tmp_path)]

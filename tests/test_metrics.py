@@ -1,10 +1,25 @@
 import csv
 import io
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hapsran import StudyConfig, TrafficScenario, UndefinedMetricError, run_study
+from hapsran import (
+    StudyConfig,
+    TrafficScenario,
+    UndefinedMetricError,
+    build_scenario,
+    run_study,
+    run_trial,
+    sample_trial_config,
+)
+from hapsran import montecarlo
 from hapsran.metrics import (
     DEFAULT_MASKS,
     NIGHT_MASK,
@@ -24,9 +39,14 @@ from hapsran.montecarlo import TrialResult
 from hapsran.traffic import HOURS_PER_WEEK
 
 
+def hourly_demand(scenario: TrafficScenario, hour: int) -> float:
+    """The hour's summed rate: the last column of its running sum in rate order."""
+    return float(scenario.hour_order.cum_rate[hour, -1])
+
+
 def offloaded_fraction(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
     """Share of the hour's total demand carried by the HAPS."""
-    total = float(scenario.hourly_demand[hour])
+    total = hourly_demand(scenario, hour)
     if total <= 0:
         raise UndefinedMetricError(f"zero traffic demand at hour {hour}")
     return float(result.offloaded_rate_per_hour[hour]) / total
@@ -37,7 +57,7 @@ def capacity_utilization(result: TrialResult, scenario: TrafficScenario, hour: i
     denom = result.c_haps_mbps + float(result.active_capacity_per_hour[hour])
     if denom <= 0:
         raise UndefinedMetricError(f"zero available capacity at hour {hour}")
-    return float(scenario.hourly_demand[hour]) / denom
+    return hourly_demand(scenario, hour) / denom
 
 
 def toy_result(energy_ph, baseline_ph, **kw):
@@ -147,6 +167,37 @@ class TestOffloadedFraction:
             offloaded_rate_per_hour=np.full(HOURS_PER_WEEK, total0 / 2),
         )
         assert offloaded_fraction(result, small_scenario, 0) == pytest.approx(0.5)
+
+
+class TestEveryBSAsleep:
+    @given(
+        sizes=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        seed=st.integers(0, 2**16),
+        # c_haps as a multiple of the busiest hour's demand: below 1 only the quieter hours
+        # put every BS to sleep
+        multiple=st.one_of(st.just(1.0), st.floats(1, 8), st.floats(0.3, 1), st.just(math.inf)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_offloaded_fraction_is_one_when_all_sleep(self, tables, sizes, seed, multiple):
+        scenario = build_scenario(*sizes, seed=seed)
+        demand = scenario.hour_order.cum_rate[:, -1]
+        c_haps = multiple * float(demand.max())
+        study = StudyConfig(
+            scenario=scenario, tables=tables, n_trials=1, min_active_frac=0.0,
+            ue_density_per_km2=1.0,
+        )
+        with mock.patch.object(montecarlo, "aggregate_capacity", return_value=c_haps):
+            result = run_trial(study, sample_trial_config(study, 0))
+        asleep = result.offloaded_count_per_hour == scenario.n_bs
+        if multiple >= 1:
+            assert asleep.all()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f45.csv"
+            write_figure45_csv(path, [result], scenario)
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        fractions = [float(row[2]) for row in rows]
+        assert all(0.0 <= f <= 1.0 for f in fractions)
+        assert [row[2] for row, on in zip(rows, asleep) if on] == ["1.0"] * int(asleep.sum())
 
 
 class TestCapacityUtilization:

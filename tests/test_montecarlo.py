@@ -9,8 +9,10 @@ import pytest
 from hapsran import (
     EnergyParams,
     InvalidArgumentError,
+    OffloadConstraints,
     StudyConfig,
     TrafficScenario,
+    build_scenario,
     run_study,
     run_trial,
     sample_trial_config,
@@ -206,3 +208,22 @@ class TestPairedMonotonicity:
         energies = [r.total_energy for r in results]
         assert all(b > a for a, b in zip(caps, caps[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
+
+
+class TestDefaultStudyIsCapacityBound:
+    def test_no_hour_reaches_the_count_floor(self, tables):
+        # the default scenario and 100 trials at master seed 0: every trial's c_haps runs
+        # out before the active-count floor of 384 BSs (576 sleepers) is reached, in every
+        # hour, so min_active_frac changes nothing in the default study
+        scenario = build_scenario(1419, 960, seed=42)
+        study = StudyConfig(scenario=scenario, tables=tables, n_trials=100, master_seed=0)
+        results = run_study(study)
+        k_max = OffloadConstraints(min_active_frac=study.min_active_frac).max_offloadable(960)
+        assert k_max == 576
+        counts = np.array([r.offloaded_count_per_hour for r in results])
+        assert counts.shape == (100, 168) and counts.max() < k_max
+        # the floor would bind only where c_haps reaches the 576 quietest BSs' sum
+        largest_c_haps = max(r.c_haps_mbps for r in results)
+        floor_rate = scenario.hour_order.cum_rate[:, k_max].min()
+        assert largest_c_haps == pytest.approx(622.9, abs=0.05)
+        assert floor_rate == pytest.approx(2339.0, abs=0.05)

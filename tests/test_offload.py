@@ -413,13 +413,6 @@ class TestScenarioCaches:
             bound = rounding_bound(small_scenario.n_bs, expected)
             assert (np.abs(per_hour - expected) <= bound).all()
 
-    def test_hourly_demand_is_each_column_sum(self, small_scenario):
-        demand = small_scenario.hourly_demand
-        assert small_scenario.hourly_demand is demand
-        assert not demand.flags.writeable
-        expected = [small_scenario.rate_matrix[:, h].sum() for h in range(HOURS_PER_WEEK)]
-        assert demand.tolist() == [float(x) for x in expected]
-
     def test_a_new_scenario_has_its_own_caches(self, small_scenario):
         twin = TrafficScenario(rate_matrix=small_scenario.rate_matrix, stats=small_scenario.stats)
         assert "hour_order" not in vars(twin)
