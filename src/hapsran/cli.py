@@ -157,6 +157,13 @@ def cmd_scenario(args) -> int:
     settings = {**_SCENARIO_DEFAULTS, **load_config(args.config)["scenario"]}
     if args.seed is not None:
         settings["seed"] = args.seed
+    for key in ("n_bases", "m_targets"):
+        # a (count, 168) float64 matrix larger than numpy can index
+        if settings[key] * traffic.HOURS_PER_WEEK * 8 > np.iinfo(np.intp).max:
+            raise InvalidArgumentError(
+                f"bad [scenario] {key} (or {_env_key('scenario', key)}): {settings[key]} "
+                f"rows of {traffic.HOURS_PER_WEEK} hours exceed the largest array numpy can hold"
+            )
     scenario = traffic.build_scenario(**settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -205,6 +205,32 @@ def _bel(doc, cls: str) -> BelCoefficients:
     return BelCoefficients(**{n: _numbers(doc, f"bel.{cls}.{n}", many=False) for n in names})
 
 
+# every key a tables file holds; a dict lists the keys below its key
+_TABLE_KEYS = {
+    "environment": None,
+    "band": None,
+    "angles_deg": None,
+    "los_prob": None,
+    "sf_sigma": {"los": None, "nlos": None},
+    "clutter": {"los": None, "nlos": None},
+    "bel": {cls: {f.name: None for f in fields(BelCoefficients)} for cls in _BEL_CLASSES},
+}
+
+
+def _reject_unknown_keys(doc, keys: dict, path: str = "") -> None:
+    """An error naming, as a dotted path, a key of doc at any depth that keys does not list.
+
+    A value of the wrong type is left for _entry and _numbers to name.
+    """
+    if not isinstance(doc, dict):
+        return
+    for key, value in doc.items():
+        if key not in keys:
+            raise InvalidArgumentError(f"channel tables: unknown key {path + key!r}")
+        if keys[key] is not None:
+            _reject_unknown_keys(value, keys[key], f"{path}{key}.")
+
+
 def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
     """Load channel tables from a JSON file; default is the embedded dataset."""
     if path is None:
@@ -212,6 +238,7 @@ def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
     else:
         raw = Path(path).read_text()
     doc = json.loads(raw)
+    _reject_unknown_keys(doc, _TABLE_KEYS)
     return ChannelTables(
         environment=_entry(doc, "environment"),
         band=_entry(doc, "band"),

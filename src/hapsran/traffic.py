@@ -299,7 +299,7 @@ def _nearest_by_scan(
     return int(np.argmin(dev))  # argmin keeps the lowest index on ties
 
 
-# Both ways of taking 168 times a clipped mean, _nearest_by_scan's and _matched_rows's,
+# Both ways of taking 168 times a scaled mean, _nearest_by_scan's and _matched_rows's,
 # err by less than about 700 units of 2**-53 of a*sum(v) + 168*target.mean: the 168 terms
 # a*v + b are each rounded and then summed (up to 167 roundings of their total), and
 # |b| <= a*p5(v) + target.p5, where p5(v) <= mean(v) * 168/160 and target.p5 <= target.mean.
@@ -313,7 +313,7 @@ _PICK_MARGIN = 2048 * np.finfo(float).eps
 # scales with a = W/s and b = P - a*p.  If no value clips, 168 times the scaled mean less
 # 168*mean is exactly Y = 168*W*((1 + alpha)*r' - rho') + 168*e, where r' and rho' are the
 # ratios without rounding, |alpha| <= u = 2**-53 is a's rounding and |e| <= u*(a*p + |b|)
-# is that of a*p and b.  Y is a*S[0] + 168*b - 168*mean before its last roundings, so it
+# is that of a*p and b.  Y is a*S + 168*b - 168*mean before its last roundings, so it
 # is within the 700 units above of the scan's 168 times the base's deviation.  r rounds
 # three times and rho twice, each by at most u of its result, so
 #     |Y| / (168*W) >= |r - rho| - u*(g + 3*|r| + 2*h) - u*(c + 2*rho)
@@ -330,7 +330,8 @@ _RATIO_PICK_MARGIN = _PICK_MARGIN * (1 + 2.0**-40)
 # A base clips under a target only if a*min + b < 0, that is when P/W < (p - min)/s up to
 # the roundings of a, a*p and b, about three units of P/W and of p/s.  The matcher treats
 # a base as one that may clip where P/W <= (p - min + _CLIP_SLACK*p)/s*(1 + _CLIP_SLACK),
-# which covers those and the test's own four roundings with 32 units.
+# which covers those and the test's own four roundings with 32 units, and leaves a target
+# under which any base may clip to the scan.
 _CLIP_SLACK = 2.0**-48
 # The bases evaluated on each side of a target's ratio
 _NEIGHBOURS = 1
@@ -371,15 +372,14 @@ def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray
 
     A value v clips only if it lies at or below the cut p5 - span*target.p5/(target.peak
     - target.p5), so a row clips only if its cut lies above its minimum, that is under a
-    target whose p5 is small next to its width.  Every row that may clip under a target
-    is evaluated too.  An evaluated row's 168 times clipped mean is a*S[n] + b*(168 - n),
-    with S the suffix sums of the sorted row and n the count of values at or below the
-    cut, and a rounding bound of _PICK_MARGIN.  Every other row gets a lower bound on its
-    deviation from its ratio distance, less the margins _RATIO_ULP derives; the prefix
-    maxima of r + kappa and the suffix minima of r - kappa give the least such bound on
-    each side of the evaluated window at once.  A pick stands only where its deviation plus its bound is
-    below every other row's bound.  _nearest_by_scan decides the rest, exact ties
-    included, so every pick is the scan's.
+    target whose p5 is small next to its width.  An evaluated row's 168 times scaled mean
+    is a*S + 168*b, with S its sum, and a rounding bound of _PICK_MARGIN.  Every other row
+    gets a lower bound on its deviation from its ratio distance, less the margins
+    _RATIO_ULP derives; the prefix maxima of r + kappa and the suffix minima of r - kappa
+    give the least such bound on each side of the evaluated window at once.  A pick stands
+    only where its deviation plus its bound is below every other row's bound, and where no
+    usable row may clip under the target.  _nearest_by_scan decides the rest, exact ties
+    and clipping targets included, so every pick is the scan's.
     """
     peaks = base_matrix.max(axis=1)
     p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
@@ -412,13 +412,12 @@ def _nearest_by_ratio(
     n = len(rows)
     sums = base_matrix.sum(axis=1)[rows]
     p5, span = p5s[rows], spans[rows]
-    row_bounds = _PICK_MARGIN * sums
     ratios, kappa = _ratio_keys(sums, p5, span)
     mins = base_matrix.min(axis=1)[rows]
-    clip_slope = (p5 - mins + _CLIP_SLACK * p5) / span * (1 + _CLIP_SLACK)
+    # a base may clip under a target whose cut slope P/W is at most this
+    clip_slope = np.max((p5 - mins + _CLIP_SLACK * p5) / span * (1 + _CLIP_SLACK))
     width, cut_slope, rho, t_kappa = _target_keys(t_peak, t_p5, t_mean)
     t_sum = HOURS_PER_WEEK * t_mean
-    t_bound = _PICK_MARGIN * t_sum
     order = np.argsort(ratios, kind="stable")
     sorted_ratios = ratios[order]
     # below[k]: the most r + kappa of the rows sorted before k; above[k]: the least
@@ -434,52 +433,22 @@ def _nearest_by_ratio(
     window = order[lo[:, None] + np.arange(w)]
     a = width[:, None] / span[window]
     b = t_p5[:, None] - a * p5[window]
-    dev = a * sums[window]  # no value clips: the suffix sum from rank 0 is the row sum
+    dev = a * sums[window]  # where no value clips, 168 times the scaled mean is a*S + 168*b
     dev += b * HOURS_PER_WEEK
     dev -= t_sum[:, None]
     np.abs(dev, out=dev)
-    bound = a * row_bounds[window] + t_bound[:, None]
+    bound = a * (_PICK_MARGIN * sums[window]) + (_PICK_MARGIN * t_sum)[:, None]
     low = dev - bound
-    clips = clip_slope[window] >= cut_slope[:, None]  # these are evaluated below
-    dev[clips] = np.inf
-    low[clips] = np.inf
     each = np.arange(len(width))
     best = np.argmin(dev, axis=1)  # a nan comes first, and then nothing is certain
-    pick_dev = dev[each, best]
-    pick_bound = bound[each, best]
-    pick = window[each, best]
+    pick_high = dev[each, best] + bound[each, best]  # the most the pick's deviation can be
     low[each, best] = np.inf
-    others = low.min(axis=1)  # the least dev - bound of the other evaluated rows
-
-    # every row that may clip under a target, with the targets it may clip under
-    by_slope = np.argsort(cut_slope, kind="stable")
-    sorted_slopes = cut_slope[by_slope]
-    suffix = np.zeros(HOURS_PER_WEEK + 1)  # suffix[n]: sum of the row's values from rank n up
-    for i in np.flatnonzero(clip_slope >= sorted_slopes[0]):
-        sel = by_slope[: np.searchsorted(sorted_slopes, clip_slope[i], side="right")]
-        sorted_row = np.sort(base_matrix[rows[i]])
-        np.add.accumulate(sorted_row[::-1], out=suffix[-2::-1])
-        a = width[sel] / span[i]
-        b = t_p5[sel] - a * p5[i]
-        cut = np.searchsorted(sorted_row, p5[i] - span[i] * cut_slope[sel], side="right")
-        dev = a * suffix[cut]
-        dev += b * (HOURS_PER_WEEK - cut)
-        dev -= t_sum[sel]
-        np.abs(dev, out=dev)
-        bound = a * row_bounds[i] + t_bound[sel]
-        better = dev < pick_dev[sel]  # strict, and false for a nan
-        loser = np.where(better, pick_dev[sel] - pick_bound[sel], dev - bound)
-        others[sel] = np.minimum(others[sel], loser)
-        pick[sel] = np.where(better, i, pick[sel])
-        pick_dev[sel] = np.where(better, dev, pick_dev[sel])
-        pick_bound[sel] = np.where(better, bound, pick_bound[sel])
-
-    # every row outside the window and not evaluated above has the bound of its ratio
-    hi = lo + w
-    reach = np.minimum(above[hi] - rho, rho - below[lo]) - t_kappa
-    others = np.minimum(others, HOURS_PER_WEEK * width * reach)
-    certain = (pick_dev + pick_bound < others) & (width > 0)
-    return rows[pick], certain
+    # every row outside the window has the bound of its ratio
+    reach = np.minimum(above[lo + w] - rho, rho - below[lo]) - t_kappa
+    others = np.minimum(low.min(axis=1), HOURS_PER_WEEK * width * reach)
+    # a target under which some base may clip goes to the scan
+    certain = (pick_high < others) & (width > 0) & (cut_slope > clip_slope)
+    return rows[window[each, best]], certain
 
 
 def build_scenario(

@@ -119,14 +119,22 @@ def _at(doc, path):
 TABLE_LEAVES = list(_leaves(BUNDLED_TABLES))
 TABLE_LISTS = [path for path in {leaf[:-1] for leaf in TABLE_LEAVES}
                if isinstance(_at(BUNDLED_TABLES, path), list)]
+TABLE_DICTS = [(), ("sf_sigma",), ("clutter",), ("bel",),
+               *(("bel", cls) for cls in BUNDLED_TABLES["bel"])]
 
 
 @st.composite
 def table_mutation(draw):
     """(what changed, the bundled tables with one leaf replaced or removed, the angles
-    permuted, or a list shortened)."""
+    permuted, a list shortened, or a key added beside the others of a dict)."""
     doc = json.loads(json.dumps(BUNDLED_TABLES))
-    kind = draw(st.sampled_from(["replace", "remove", "permute", "shorten"]))
+    kind = draw(st.sampled_from(["replace", "remove", "permute", "shorten", "add"]))
+    if kind == "add":  # a copy of a sibling's value under a key that no reader knows
+        path = draw(st.sampled_from(TABLE_DICTS))
+        parent = _at(doc, path)
+        key = draw(st.text(min_size=1, max_size=12).filter(lambda k: k not in parent))
+        parent[key] = json.loads(json.dumps(parent[draw(st.sampled_from(sorted(parent)))]))
+        return f"{path + (key,)} added", doc
     if kind == "permute":
         angles = doc["angles_deg"]
         doc["angles_deg"] = draw(st.permutations(angles).filter(lambda p: p != angles))
@@ -234,7 +242,8 @@ _UNPARSABLE = ["", "abc", "0x1f", "1 2", "1;2"]
 _NOT_FINITE = ["nan", "inf", "-inf", "1e309"]
 # parsable values outside each setting's domain
 _OUT_OF_DOMAIN = {
-    "scenario": {"n_bases": ["0", "-1"], "m_targets": ["0", "-1"], "seed": ["-1"],
+    "scenario": {"n_bases": ["0", "-1", str(10**26), str(2**60)],
+                 "m_targets": ["0", "-1", str(10**26), str(2**60)], "seed": ["-1"],
                  "area_km2": ["0", "-1"]},
     "energy": {"e0": ["-1"], "e_bb": ["-1"], "e_tran": ["-1"], "e_pa": ["-1"],
                "eta": ["0", "1.5"], "p_tx_w": ["0", "-1"], "dt_s": ["0", "-1"]},

@@ -271,6 +271,11 @@ class TestTables:
             ("angles_deg", lambda d: d["angles_deg"].__setitem__(0, True)),
             ("bel.traditional", lambda d: d.update(bel=5)),
             ("bel.thermally_efficient", lambda d: d["bel"].pop("thermally_efficient")),
+            # unknown keys, at each level
+            ("notes", lambda d: d.update(notes="S band")),
+            ("sf_sigma.nlso", lambda d: d["sf_sigma"].update(nlso=d["sf_sigma"]["nlos"])),
+            ("bel.traditonal", lambda d: d["bel"].update(traditonal=d["bel"]["traditional"])),
+            ("bel.traditional.rr", lambda d: d["bel"]["traditional"].update(rr=1.0)),
         ],
     )
     def test_malformed_file_names_key(self, tables, tmp_path, key, edit):

@@ -539,8 +539,8 @@ class TestMatcherEqualsScan:
 
     def test_neighbour_beyond_a_clipping_row_is_evaluated(self, monkeypatch):
         # The row nearest the target's ratio clips under it, which lifts its scaled mean
-        # well past the target's: the pick is the nearest row on the other side, and it
-        # is certain because the nearest row on each side of the ratio is evaluated.
+        # well past the target's: the pick is the nearest row on the other side.  A
+        # target under which a row may clip is the scan's to decide, once.
         picks = count_scans(monkeypatch)
         rows = _bases(40, seed=15)
         ratios = _ratios(rows)
@@ -559,7 +559,7 @@ class TestMatcherEqualsScan:
         target = _target(50.0, 1 / 6, rho)  # target.p5 = (target.peak - target.p5) / 5
         expected = assert_matches_scan(base_matrix, [target])
         assert np.array_equal(expected, scan_reference(rows[pick][None], [target]))
-        assert picks == []
+        assert picks == [len(base_matrix) - 1]
 
     def test_rows_clip_under_some_targets_only(self):
         # raised floors with a trough of zeros below the 5th percentile: a row clips
@@ -592,10 +592,15 @@ class TestMatcherEqualsScan:
         base_matrix = np.insert(_bases(30, seed=13), 11, huge, axis=0)
         assert_matches_scan(base_matrix, generate_target_stats(20, seed=13))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_moderate_scale_takes_no_scan(self, monkeypatch, seed):
+    # the last is the default scenario's scale and seed
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(300, 200, 0), (300, 200, 1), (300, 200, 2), (1419, 960, 42)],
+        ids=["0", "1", "2", "1419-960-42"],
+    )
+    def test_moderate_scale_takes_no_scan(self, monkeypatch, n, m, seed):
         picks = count_scans(monkeypatch)
-        assert_matches_scan(_bases(300, seed), generate_target_stats(200, seed))
+        assert_matches_scan(_bases(n, seed), generate_target_stats(m, seed))
         assert picks == []
 
     def test_ratio_bound_is_sound_and_tight(self):
