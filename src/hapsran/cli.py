@@ -153,6 +153,15 @@ def _study_config(args) -> StudyConfig:
     )
 
 
+def _physical_memory_bytes() -> int | None:
+    """The machine's physical memory, or None where os.sysconf cannot tell."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return memory if memory > 0 else None
+
+
 def cmd_scenario(args) -> int:
     settings = {**_SCENARIO_DEFAULTS, **load_config(args.config)["scenario"]}
     if args.seed is not None:
@@ -164,6 +173,14 @@ def cmd_scenario(args) -> int:
                 f"bad [scenario] {key} (or {_env_key('scenario', key)}): {settings[key]} "
                 f"rows of {traffic.HOURS_PER_WEEK} hours exceed the largest array numpy can hold"
             )
+    # building the scenario holds about three (n_bases + m_targets, 168) float64 arrays
+    n_rows = settings["n_bases"] + settings["m_targets"]
+    need, memory = 3 * n_rows * traffic.HOURS_PER_WEEK * 8, _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise InvalidArgumentError(
+            f"bad [scenario] n_bases and m_targets: {n_rows} rows of {traffic.HOURS_PER_WEEK} "
+            f"hours need about {need} bytes, more than the {memory} bytes of physical memory"
+        )
     scenario = traffic.build_scenario(**settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,12 +234,8 @@ def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
     schedule = offload_week(study.scenario, study.energy, cons)
     active_energy = bs_energy(study.energy, study.scenario.rate_matrix.T, study.scenario.capacities)
     energy = np.where(schedule.active, active_energy, sleep_energy(study.energy))
-    rows = (
-        [h, i, int(on), metrics._fmt(e)]
-        for h, (active_row, energy_row) in enumerate(zip(schedule.active, energy))
-        for i, (on, e) in enumerate(zip(active_row, energy_row))
-    )
-    metrics._write_csv(path, ["hour", "bs_id", "active", "energy"], rows)
+    columns = [("hour", int), ("bs_id", int), ("active", int), ("energy", float)]
+    traffic.write_csv_grid(path, columns, enumerate(zip(schedule.active, energy)))
 
 
 def cmd_trial(args) -> int:

@@ -180,55 +180,47 @@ class ChannelTables:
         return idx
 
 
-def _entry(doc, key: str):
-    """doc at a dotted key such as "sf_sigma.los"; an error names the first missing part."""
-    parts = key.split(".")
-    for i, part in enumerate(parts):
-        if not isinstance(doc, dict) or part not in doc:
-            raise InvalidArgumentError(f"channel tables: missing key {'.'.join(parts[:i + 1])!r}")
-        doc = doc[part]
-    return doc
-
-
-def _numbers(doc, key: str, many: bool = True):
-    """The list of finite numbers at a dotted key as a tuple, or with many=False one number."""
-    value = _entry(doc, key)
-    values = value if many else [value]
-    ok = isinstance(values, list) and all(type(v) in (int, float) for v in values)
-    if not (ok and all(map(math.isfinite, values))):
-        raise InvalidArgumentError(f"channel tables: {key!r} must hold finite numbers")
-    return tuple(values) if many else value
-
-
-def _bel(doc, cls: str) -> BelCoefficients:
-    names = (f.name for f in fields(BelCoefficients))
-    return BelCoefficients(**{n: _numbers(doc, f"bel.{cls}.{n}", many=False) for n in names})
-
-
-# every key a tables file holds; a dict lists the keys below its key
+# every key a tables file holds, with the kind of value each leaf holds; a dict lists the
+# keys below its key
+_TEXT, _NUMBERS, _NUMBER = "text", "a list of finite numbers", "one finite number"
 _TABLE_KEYS = {
-    "environment": None,
-    "band": None,
-    "angles_deg": None,
-    "los_prob": None,
-    "sf_sigma": {"los": None, "nlos": None},
-    "clutter": {"los": None, "nlos": None},
-    "bel": {cls: {f.name: None for f in fields(BelCoefficients)} for cls in _BEL_CLASSES},
+    "environment": _TEXT,
+    "band": _TEXT,
+    "angles_deg": _NUMBERS,
+    "los_prob": _NUMBERS,
+    "sf_sigma": {"los": _NUMBERS, "nlos": _NUMBERS},
+    "clutter": {"los": _NUMBERS, "nlos": _NUMBERS},
+    "bel": {cls: {f.name: _NUMBER for f in fields(BelCoefficients)} for cls in _BEL_CLASSES},
 }
 
 
-def _reject_unknown_keys(doc, keys: dict, path: str = "") -> None:
-    """An error naming, as a dotted path, a key of doc at any depth that keys does not list.
+def _checked(doc, keys: dict, path: str = "") -> dict:
+    """doc's values at the keys that keys lists, in its order; a number list as a tuple.
 
-    A value of the wrong type is left for _entry and _numbers to name.
+    An error names the key at fault by its dotted path: one that keys does not list, the
+    first that doc lacks (below a value that is not a dict, too), or a number or number
+    list that is not finite.  Each number keeps its JSON type; ChannelTables checks text.
     """
     if not isinstance(doc, dict):
-        return
-    for key, value in doc.items():
+        raise InvalidArgumentError(f"channel tables: missing key {path + next(iter(keys))!r}")
+    for key in doc:
         if key not in keys:
             raise InvalidArgumentError(f"channel tables: unknown key {path + key!r}")
-        if keys[key] is not None:
-            _reject_unknown_keys(value, keys[key], f"{path}{key}.")
+    values = {}
+    for key, kind in keys.items():
+        if key not in doc:
+            raise InvalidArgumentError(f"channel tables: missing key {path + key!r}")
+        value = doc[key]
+        if isinstance(kind, dict):
+            value = _checked(value, kind, f"{path}{key}.")
+        elif kind is not _TEXT:
+            numbers = value if kind is _NUMBERS else [value]
+            ok = isinstance(numbers, list) and all(type(v) in (int, float) for v in numbers)
+            if not (ok and all(map(math.isfinite, numbers))):
+                raise InvalidArgumentError(f"channel tables: {path + key!r} must hold finite numbers")
+            value = tuple(numbers) if kind is _NUMBERS else value
+        values[key] = value
+    return values
 
 
 def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
@@ -237,19 +229,13 @@ def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
         raw = resources.files("hapsran.data").joinpath(_DEFAULT_TABLE_FILE).read_text()
     else:
         raw = Path(path).read_text()
-    doc = json.loads(raw)
-    _reject_unknown_keys(doc, _TABLE_KEYS)
-    return ChannelTables(
-        environment=_entry(doc, "environment"),
-        band=_entry(doc, "band"),
-        angles_deg=_numbers(doc, "angles_deg"),
-        los_prob=_numbers(doc, "los_prob"),
-        sf_sigma_los=_numbers(doc, "sf_sigma.los"),
-        sf_sigma_nlos=_numbers(doc, "sf_sigma.nlos"),
-        clutter_los=_numbers(doc, "clutter.los"),
-        clutter_nlos=_numbers(doc, "clutter.nlos"),
-        bel={cls: _bel(doc, cls) for cls in _BEL_CLASSES},
-    )
+    values = _checked(json.loads(raw), _TABLE_KEYS)
+    bel = {cls: BelCoefficients(**coeffs) for cls, coeffs in values.pop("bel").items()}
+    # every other key a.b is the field a_b, such as sf_sigma_los
+    for group, keys in _TABLE_KEYS.items():
+        if isinstance(keys, dict) and group != "bel":
+            values.update({f"{group}_{key}": v for key, v in values.pop(group).items()})
+    return ChannelTables(**values, bel=bel)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ emitters use a stable column order so outputs are byte-reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidArgumentError, UndefinedMetricError
 from .montecarlo import StudyConfig, TrialResult
-from .traffic import HOURS_PER_WEEK, TrafficScenario
+from .traffic import HOURS_PER_WEEK, TrafficScenario, write_csv_grid, write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -68,32 +67,26 @@ def sorted_saving_curves(
     }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+# the leading columns shared by the per-trial CSVs
+_TRIAL_COLUMNS = (
+    ("trial", int), ("elevation", float), ("indoor_frac", float), ("traditional_frac", float)
+)
 
 
 def _trial_cells(r: TrialResult) -> list:
-    """The leading columns shared by the per-trial CSVs."""
-    return [r.trial_idx, _fmt(r.elevation_deg), _fmt(r.indoor_frac), _fmt(r.traditional_frac)]
+    return [r.trial_idx, r.elevation_deg, r.indoor_frac, r.traditional_frac]
 
 
 def write_figure2_csv(path: str | Path, results: list[TrialResult]) -> None:
     curves = sorted_saving_curves(results, DEFAULT_MASKS)
     names = ["week", "night", "weekday", "weekend"]
-    rows = ([rank] + [_fmt(curves[n][rank]) for n in names] for rank in range(len(results)))
-    _write_csv(path, ["rank", *names], rows)
+    rows = ([rank] + [curves[n][rank] for n in names] for rank in range(len(results)))
+    write_csv_rows(path, [("rank", int), *((n, float) for n in names)], rows)
 
 
 def write_figure3_csv(path: str | Path, results: list[TrialResult]) -> None:
-    rows = (_trial_cells(r) + [_fmt(energy_saving(r, WEEK_MASK))] for r in results)
-    _write_csv(path, ["trial", "elevation", "indoor_frac", "traditional_frac", "saving"], rows)
+    rows = (_trial_cells(r) + [energy_saving(r, WEEK_MASK)] for r in results)
+    write_csv_rows(path, [*_TRIAL_COLUMNS, ("saving", float)], rows)
 
 
 def write_figure45_csv(
@@ -104,55 +97,35 @@ def write_figure45_csv(
 
     Demand is the last column of the running sum whose column k is the offloaded rate,
     so the fraction is at most 1, and exactly 1 when every BS sleeps.  Both ratios are
-    taken for a whole trial at once and its 168 rows written as one string, with the
-    bytes csv.writer gives for the same cells.
+    taken for a whole trial at once, and its 168 rows written as one block.
     """
     demand = scenario.hour_order.cum_rate[:, -1]
     zero = np.flatnonzero(demand <= 0)
     if zero.size:
         raise UndefinedMetricError(f"zero traffic demand at hour {zero[0]}")
-    hours = range(HOURS_PER_WEEK)
-    with Path(path).open("w", newline="") as fh:
-        fh.write("trial,hour,offloaded_frac,utilization\r\n")
+
+    def blocks():
         for r in results:
             capacity = r.c_haps_mbps + r.active_capacity_per_hour
             zero = np.flatnonzero(capacity <= 0)
             if zero.size:
                 raise UndefinedMetricError(f"zero available capacity at hour {zero[0]}")
-            offloaded = (r.offloaded_rate_per_hour / demand).tolist()
-            utilization = (demand / capacity).tolist()
-            t = r.trial_idx
-            fh.write("".join(
-                f"{t},{h},{a!r},{b!r}\r\n" for h, a, b in zip(hours, offloaded, utilization)
-            ))
+            yield r.trial_idx, (r.offloaded_rate_per_hour / demand, demand / capacity)
+
+    columns = [("trial", int), ("hour", int), ("offloaded_frac", float), ("utilization", float)]
+    write_csv_grid(path, columns, blocks())
 
 
 def write_trials_csv(path: str | Path, results: list[TrialResult]) -> None:
-    header = [
-        "trial",
-        "elevation",
-        "indoor_frac",
-        "traditional_frac",
-        "c_haps_mbps",
-        "total_energy",
-        "baseline_energy",
-        "week_saving",
-        "night_saving",
-        "never_active_bs",
-    ]
+    floats = ["c_haps_mbps", "total_energy", "baseline_energy", "week_saving", "night_saving"]
+    columns = [*_TRIAL_COLUMNS, *((name, float) for name in floats), ("never_active_bs", int)]
     rows = (
         _trial_cells(r)
-        + [
-            _fmt(r.c_haps_mbps),
-            _fmt(r.total_energy),
-            _fmt(r.baseline_energy),
-            _fmt(energy_saving(r, WEEK_MASK)),
-            _fmt(energy_saving(r, NIGHT_MASK)),
-            r.never_active_bs_count,
-        ]
+        + [r.c_haps_mbps, r.total_energy, r.baseline_energy, energy_saving(r, WEEK_MASK),
+           energy_saving(r, NIGHT_MASK), r.never_active_bs_count]
         for r in results
     )
-    _write_csv(path, header, rows)
+    write_csv_rows(path, columns, rows)
 
 
 def study_config_digest(study: StudyConfig) -> str:

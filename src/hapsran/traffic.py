@@ -31,7 +31,9 @@ DAYS_PER_WEEK = 7
 _P5_RANK = math.ceil(0.05 * HOURS_PER_WEEK) - 1
 
 # scenario.csv's columns, in order, with the type each holds
-_CSV_ROW = np.dtype([("bs_id", np.int64), ("hour", np.int64), ("rate_mbps", np.float64)])
+_SCENARIO_COLUMNS = (("bs_id", int), ("hour", int), ("rate_mbps", float))
+_CSV_ROW = np.dtype([(name, np.int64 if kind is int else np.float64)
+                     for name, kind in _SCENARIO_COLUMNS])
 # scenario.csv is read in blocks of whole lines of about this size, so that the loader's
 # buffers stay small next to the rate matrix: freeing a larger one raises glibc's mmap
 # threshold, and with it the resident memory of every trial that follows
@@ -465,16 +467,52 @@ def build_scenario(
     return TrafficScenario._adopt(rates, tuple(stats), area_km2)
 
 
+# Every CSV the package writes has one format: a header row of column names, then one
+# row per record, its int columns as their digits and its float columns as
+# repr(float(x)), whatever the value's Python type, with "," between cells and "\r\n"
+# after every row.  These are the bytes of the csv module's default dialect for those
+# cells, since no cell needs quoting.  A column is a (name, kind) pair, kind int or float.
+
+
+def _template(kinds) -> str:
+    """The %-template of one row's cells of these kinds."""
+    return ",".join("%d" if kind is int else "%r" for kind in kinds) + "\r\n"
+
+
+def write_csv_rows(path: str | Path, columns, rows) -> None:
+    """Write the rows, each one value per column, under the header."""
+    kinds = [kind for _, kind in columns]
+    template = _template(kinds)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(name for name, _ in columns) + "\r\n")
+        for row in rows:
+            fh.write(template % tuple(kind(v) for kind, v in zip(kinds, row)))
+
+
+def write_csv_grid(path: str | Path, columns, blocks) -> None:
+    """Write rows (key, j, cells...) from blocks (key, arrays): row j of a block holds its
+    key, j and entry j of each array.
+
+    The key and j columns are ints, and every block has as many rows as the first.  Each
+    block's arrays are converted together and written as one string, from a %-template
+    with every j already in it.
+    """
+    kinds = [kind for _, kind in columns[2:]]
+    template = None  # a block's rows, with the key left as {key}
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(name for name, _ in columns) + "\r\n")
+        for key, arrays in blocks:
+            values = [np.asarray(a, dtype=kind).tolist() for kind, a in zip(kinds, arrays)]
+            if template is None:
+                template = "".join(f"{{key}},{j},{_template(kinds)}" for j in range(len(values[0])))
+            cells = values[0] if len(values) == 1 else [v for row in zip(*values) for v in row]
+            fh.write(template.replace("{key}", str(int(key))) % tuple(cells))
+
+
 def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: str | Path) -> None:
     """Write the trace CSV (bs_id,hour,rate_mbps) and the JSON stats sidecar."""
-    csv_path, stats_path = Path(csv_path), Path(stats_path)
-    # the bytes csv.writer would write: \r\n line ends, and no field needs quoting.  One
-    # BS's 168 lines are one %-template, its hours baked in and a %r per rate.
-    row_template = "".join(f"{{i}},{h},%r\r\n" for h in range(HOURS_PER_WEEK))
-    with csv_path.open("w", newline="") as fh:
-        fh.write(",".join(_CSV_ROW.names) + "\r\n")
-        for i, row in enumerate(scenario.rate_matrix):
-            fh.write(row_template.replace("{i}", str(i)) % tuple(row.tolist()))
+    blocks = ((i, (row,)) for i, row in enumerate(scenario.rate_matrix))
+    write_csv_grid(csv_path, _SCENARIO_COLUMNS, blocks)
     # the bytes json.dumps(sidecar, indent=2) + "\n" would write, one %-template per BS:
     # json writes a float as its repr and an int as its digits, which %r does for exactly
     # those two types
@@ -484,7 +522,7 @@ def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: s
         # json's own rendering of any other number type, or its TypeError
         head, entries = json.loads(json.dumps([head, entries]))
     entry = "    {\n" + ",\n".join(f'      "{f.name}": %r' for f in fields(BSStats)) + "\n    }"
-    with stats_path.open("w") as fh:
+    with Path(stats_path).open("w") as fh:
         fh.write('{\n  "area_km2": %r,\n  "n_bs": %r,\n  "stats": [\n' % tuple(head))
         fh.write(",\n".join(entry % tuple(e) for e in entries))
         fh.write("\n  ]\n}\n")

@@ -1,5 +1,6 @@
 """Malformed inputs at the three boundaries: a channel-table file, a scenario sidecar and
-the HAPSRAN_* variables.
+the HAPSRAN_* variables; then scenario counts beyond the machine's memory, and extreme
+[link] settings.
 
 Each mutation changes one thing in a valid input.  It must raise InvalidArgumentError in
 the library and, through main, exit 2 (3 for JSON that does not parse) before any trial
@@ -12,6 +13,8 @@ import json
 import math
 import os
 import tempfile
+import warnings
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -27,8 +30,9 @@ from hapsran import (
     load_scenario,
     save_scenario,
 )
-from hapsran import cli, montecarlo
+from hapsran import LinkParams, cli, montecarlo
 from hapsran.cli import SCHEMA, main
+from hapsran.hapscapacity import AGGREGATIONS, TrialConfig, aggregate_capacity, sample_ue_population
 
 BUNDLED_TABLES = json.loads(
     (resources.files("hapsran.data") / "channel_tables_s_band_dense_urban.json").read_text()
@@ -291,3 +295,70 @@ class TestEnvironment:
             with pytest.raises(InvalidArgumentError):
                 args.func(args)
             assert_rejected(argv, out)
+
+
+class TestScenarioMemory:
+    def test_counts_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
+        # 1010 rows of 168 float64 hours are 1.4 MB: a small build even without the check
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setenv("HAPSRAN_SCENARIO_N_BASES", "1000")
+        monkeypatch.setenv("HAPSRAN_SCENARIO_M_TARGETS", "10")
+        out = fresh_out(workdir)
+        code, _, err = run_main(["scenario", "--config", str(workdir / "small.ini"), "--out", str(out)])
+        assert code == 2, err
+        assert "[scenario] n_bases" in err and "m_targets" in err
+        assert not out.exists()
+
+    def test_memory_is_unknown_without_sysconf(self, monkeypatch):
+        assert cli._physical_memory_bytes() is None or cli._physical_memory_bytes() > 0
+        monkeypatch.delattr(os, "sysconf", raising=False)
+        assert cli._physical_memory_bytes() is None
+
+
+_LINK_FIELDS = [f.name for f in fields(LinkParams)]
+_LINK_EXTREMES = [1e308, -1e308, 1e-308, -1e-308, 5e-324, 0.0, 1e15, -1e15,
+                  math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def extreme_link_settings(draw) -> dict:
+    """One to three LinkParams fields, each set to an extreme or a non-finite value."""
+    names = draw(st.lists(st.sampled_from(_LINK_FIELDS), min_size=1, max_size=3, unique=True))
+    return {name: draw(st.sampled_from(_LINK_EXTREMES)) for name in names}
+
+
+@pytest.fixture(scope="module")
+def population(tables):
+    cfg = TrialConfig(elevation_deg=60.0, indoor_frac=0.75, traditional_frac=0.5,
+                      rng_stream=3, ue_density_per_km2=10.0, area_km2=30.0, n_carriers=6)
+    return cfg, sample_ue_population(cfg, tables)
+
+
+class TestExtremeLinkSettings:
+    """LinkParams rejects a setting, or every aggregation gives a finite c_haps >= 0 or
+    rejects it, without a RuntimeWarning; through main, such a setting exits 0 or 2."""
+
+    @given(link=extreme_link_settings())
+    @settings(max_examples=300, deadline=None)
+    def test_library(self, tables, population, link):
+        cfg, pop = population
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                params = LinkParams(**link)
+            except InvalidArgumentError:
+                return
+            for aggregation in AGGREGATIONS:
+                try:
+                    c_haps = aggregate_capacity(cfg, params, tables, pop, aggregation=aggregation)
+                except InvalidArgumentError:
+                    continue
+                assert math.isfinite(c_haps) and c_haps >= 0, (aggregation, c_haps)
+
+    @given(link=extreme_link_settings())
+    @settings(max_examples=40, deadline=None)
+    def test_cli(self, workdir, link):
+        env = {cli._env_key("link", name): repr(value) for name, value in link.items()}
+        with mock.patch.dict(os.environ, env):
+            code, _, err = run_main(run_argv(workdir, fresh_out(workdir), "--trials", "1"))
+        assert code in (0, 2), err
