@@ -1,5 +1,6 @@
-"""Numeric helpers shared by the model modules."""
+"""Numeric and input-parsing helpers shared by the model modules."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -15,8 +16,17 @@ def scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def is_finite(value) -> bool:
+    """Whether a real number is finite as a float: an int too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_finite(params) -> None:
-    """Reject a dataclass whose float fields, or floats in its tuple fields, are NaN or infinite.
+    """Reject a dataclass whose int or float fields, or those in its tuple fields, are NaN,
+    infinite or too large for a float.
 
     The error names the field, so a bad setting fails where it enters rather than
     as a wrong number or an overflow deep inside a trial.
@@ -24,8 +34,29 @@ def require_finite(params) -> None:
     for f in fields(params):
         value = getattr(params, f.name)
         values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        if any(isinstance(v, (int, float)) and not is_finite(v) for v in values):
             raise InvalidArgumentError(f"{f.name} must be finite, got {value!r}")
+
+
+def parse_json(raw: bytes):
+    """The JSON document in UTF-8 bytes.
+
+    Bytes that are not UTF-8, nesting deeper than the parser's recursion limit and an
+    integer with more digits than Python converts are a json.JSONDecodeError, as any
+    other text that does not parse.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")  # the text before the first bad byte
+        message = f"byte {raw[exc.start]:#04x} is not UTF-8"
+        raise json.JSONDecodeError(message, head, len(head)) from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise json.JSONDecodeError(str(exc), text, 0) from exc
 
 
 def _holds(test) -> bool:

@@ -85,8 +85,8 @@ def load_config(path: str | None) -> dict[str, dict]:
         if not Path(path).is_file():
             raise InvalidArgumentError(f"config file not found: {path}")
         try:
-            parser.read(path)
-        except configparser.Error as exc:
+            parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise InvalidArgumentError(f"malformed config file: {exc}") from exc
     if parser.defaults():
         raise InvalidArgumentError(f"unknown config key in [DEFAULT]: {', '.join(parser.defaults())}")
@@ -137,11 +137,11 @@ def _study_config(args) -> StudyConfig:
     for name in ("indoor", "traditional"):
         lo, hi = getattr(StudyConfig, f"{name}_range")  # the field's default
         settings[f"{name}_range"] = (settings.pop(f"{name}_min", lo), settings.pop(f"{name}_max", hi))
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:  # hapsran trial has no --trials
         settings["n_trials"] = args.trials
     if args.seed is not None:
         settings["master_seed"] = args.seed
-    return StudyConfig(
+    study = StudyConfig(
         scenario=_load_scenario(args.scenario),
         tables=load_channel_tables(args.channel_tables),
         link=LinkParams(**cfg["link"]),
@@ -151,6 +151,19 @@ def _study_config(args) -> StudyConfig:
         n_workers=getattr(args, "threads", 1),
         **settings,
     )
+    # a trial holds about 64 bytes per UE, and up to n_workers trials run at once; the
+    # product is taken in float, so that an overflow reads inf
+    density, area = study.ue_density_per_km2, study.scenario.area_km2
+    workers = min(study.n_workers, study.n_trials)
+    need, memory = density * float(area) * 64.0 * workers, _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise InvalidArgumentError(
+            f"bad [study] ue_density_per_km2 (or {_env_key('study', 'ue_density_per_km2')}): "
+            f"{density} UEs per km2 over the scenario's area_km2 of {area} km2 need about "
+            f"{need:.3g} bytes on {workers} worker(s), more than the {memory} bytes of "
+            "physical memory"
+        )
+    return study
 
 
 def _physical_memory_bytes() -> int | None:
@@ -304,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trial.add_argument("--elevation", type=float, required=True)
     p_trial.add_argument("--indoor", type=float, required=True)
     p_trial.add_argument("--traditional", type=float, required=True)
-    p_trial.add_argument("--trials", type=int, help=argparse.SUPPRESS)
-    p_trial.set_defaults(func=cmd_trial, threads=1)
+    p_trial.set_defaults(func=cmd_trial)
 
     return parser
 

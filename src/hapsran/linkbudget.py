@@ -12,7 +12,6 @@ thermally efficient buildings.  The per-UE combination of these terms is
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numeric import require_finite, scalar_or_array
+from ._numeric import is_finite, parse_json, require_finite, scalar_or_array
 from .errors import InvalidArgumentError
 
 _DEFAULT_TABLE_FILE = "channel_tables_s_band_dense_urban.json"
@@ -216,7 +215,7 @@ def _checked(doc, keys: dict, path: str = "") -> dict:
         elif kind is not _TEXT:
             numbers = value if kind is _NUMBERS else [value]
             ok = isinstance(numbers, list) and all(type(v) in (int, float) for v in numbers)
-            if not (ok and all(map(math.isfinite, numbers))):
+            if not (ok and all(map(is_finite, numbers))):
                 raise InvalidArgumentError(f"channel tables: {path + key!r} must hold finite numbers")
             value = tuple(numbers) if kind is _NUMBERS else value
         values[key] = value
@@ -226,10 +225,10 @@ def _checked(doc, keys: dict, path: str = "") -> dict:
 def load_channel_tables(path: str | Path | None = None) -> ChannelTables:
     """Load channel tables from a JSON file; default is the embedded dataset."""
     if path is None:
-        raw = resources.files("hapsran.data").joinpath(_DEFAULT_TABLE_FILE).read_text()
+        raw = resources.files("hapsran.data").joinpath(_DEFAULT_TABLE_FILE).read_bytes()
     else:
-        raw = Path(path).read_text()
-    values = _checked(json.loads(raw), _TABLE_KEYS)
+        raw = Path(path).read_bytes()
+    values = _checked(parse_json(raw), _TABLE_KEYS)
     bel = {cls: BelCoefficients(**coeffs) for cls, coeffs in values.pop("bel").items()}
     # every other key a.b is the field a_b, such as sf_sigma_los
     for group, keys in _TABLE_KEYS.items():

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import check_load
+from ._numeric import check_load, is_finite, parse_json
 from .errors import DegenerateTraceError, InvalidArgumentError, NoCandidateError
 
 HOURS_PER_WEEK = 168
@@ -85,6 +85,8 @@ class BSStats:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+            if not is_finite(value):  # an int too large for a float, say
+                raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
         if not (0 <= self.p5 <= self.mean <= self.peak):
             raise InvalidArgumentError(
                 f"need 0 <= p5 <= mean <= peak, got {self.p5}, {self.mean}, {self.peak}"
@@ -156,7 +158,8 @@ class TrafficScenario:
     def _take(self, rates: np.ndarray) -> None:
         """Check rates against the stats and area, then hold them read-only."""
         area = self.area_km2
-        if isinstance(area, bool) or not isinstance(area, numbers.Real) or not 0 < area < math.inf:
+        real = isinstance(area, numbers.Real) and not isinstance(area, bool)
+        if not (real and area > 0 and is_finite(area)):
             raise InvalidArgumentError(f"area_km2 must be a finite positive number, got {area!r}")
         stats = tuple(self.stats)
         if rates.shape != (len(stats), HOURS_PER_WEEK) or not stats:
@@ -301,34 +304,16 @@ def _nearest_by_scan(
     return int(np.argmin(dev))  # argmin keeps the lowest index on ties
 
 
-# Both ways of taking 168 times a scaled mean, _nearest_by_scan's and _matched_rows's,
-# err by less than about 700 units of 2**-53 of a*sum(v) + 168*target.mean: the 168 terms
-# a*v + b are each rounded and then summed (up to 167 roundings of their total), and
-# |b| <= a*p5(v) + target.p5, where p5(v) <= mean(v) * 168/160 and target.p5 <= target.mean.
-# A pick stands if it beats every other row by both rows' bounds, taken six times over.
-_PICK_MARGIN = 2048 * np.finfo(float).eps
-
-# The bases that _matched_rows does not evaluate get a lower bound from their ratios.  Take
-# a base with row sum S (as np.sum rounds it), 5th percentile p and span s, and a target
-# (peak, P, mean) with W = peak - P > 0; let g = S/168/s, h = p/s, c = P/W,
-# r = (S/168 - p)/s and rho = (mean - P)/W, each as floating point rounds it.  The scan
-# scales with a = W/s and b = P - a*p.  If no value clips, 168 times the scaled mean less
-# 168*mean is exactly Y = 168*W*((1 + alpha)*r' - rho') + 168*e, where r' and rho' are the
-# ratios without rounding, |alpha| <= u = 2**-53 is a's rounding and |e| <= u*(a*p + |b|)
-# is that of a*p and b.  Y is a*S + 168*b - 168*mean before its last roundings, so it
-# is within the 700 units above of the scan's 168 times the base's deviation.  r rounds
-# three times and rho twice, each by at most u of its result, so
-#     |Y| / (168*W) >= |r - rho| - u*(g + 3*|r| + 2*h) - u*(c + 2*rho)
-# up to terms in u**2, which the factor 1 + 2**-40 covers.  The base's own _PICK_MARGIN
-# bound, in the same units, is at most _PICK_MARGIN*(g + rho + c) to the same factor.  So
-# the scan's deviation of the base, at least |Y| less that bound, is at least 168*W times
-# its distance |r - rho| less kappa(base) and kappa(target), where
-#     kappa(base) = _RATIO_ULP*(g + 3*|r| + 2*h) + _RATIO_PICK_MARGIN*g,
-#     kappa(target) = _RATIO_ULP*(c + 2*rho) + _RATIO_PICK_MARGIN*(rho + c).  Evaluating
-# that bound rounds a few more times, by units of |r| + rho + kappa: the sixfold slack in
-# _PICK_MARGIN takes those, as it takes the roundings of the evaluated bases' comparisons.
-_RATIO_ULP = 2.0**-53 * (1 + 2.0**-40)
-_RATIO_PICK_MARGIN = _PICK_MARGIN * (1 + 2.0**-40)
+# Each of _nearest_by_ratio's estimates is within _MARGIN*168*W*(3*g + P/W + rho) of the
+# scan's 168 times a base's deviation under a target (peak, P, mean), where W = peak - P,
+# rho = (mean - P)/W, and the base has row sum S, 5th percentile p, span s, g = S/168/s and
+# ratio r = g - p/s.  At least 160 of the 168 values lie at or above p, so p/s <= 1.05*g
+# and |r| <= g.  The scan's 168 terms a*v + b, with a = W/s and |b| <= a*p + P, err in their
+# sum by less than 700 units of 2**-53 of a*S + 168*mean = 168*W*(g + P/W + rho), as does
+# the closed form a*S + 168*b; 168*W*|r - rho| adds about 10 units of 3*g + P/W + rho for
+# the roundings of r and rho.  2**-40 is 8192 units, more than 10 times that, and the slack
+# covers the margin's own roundings.  Each target takes the largest g over the bases.
+_MARGIN = 2.0**-40
 # A base clips under a target only if a*min + b < 0, that is when P/W < (p - min)/s up to
 # the roundings of a, a*p and b, about three units of P/W and of p/s.  The matcher treats
 # a base as one that may clip where P/W <= (p - min + _CLIP_SLACK*p)/s*(1 + _CLIP_SLACK),
@@ -337,28 +322,6 @@ _RATIO_PICK_MARGIN = _PICK_MARGIN * (1 + 2.0**-40)
 _CLIP_SLACK = 2.0**-48
 # The bases evaluated on each side of a target's ratio
 _NEIGHBOURS = 1
-
-
-def _ratio_keys(sums: np.ndarray, p5s: np.ndarray, spans: np.ndarray):
-    """Each base's ratio r = (S/168 - p)/s and its margin kappa(base), as _RATIO_ULP states."""
-    means = sums / HOURS_PER_WEEK
-    ratios = (means - p5s) / spans
-    g = means / spans
-    kappa = _RATIO_ULP * (g + 3 * np.abs(ratios) + 2 * p5s / spans) + _RATIO_PICK_MARGIN * g
-    return ratios, kappa
-
-
-def _target_keys(t_peak: np.ndarray, t_p5: np.ndarray, t_mean: np.ndarray):
-    """Each target's width W, cut slope P/W, ratio rho and margin kappa(target).
-
-    A flat target (W = 0) keeps every value: its cut slope is inf, its ratio 0.
-    """
-    width = t_peak - t_p5
-    flat = width <= 0
-    cut_slope = np.divide(t_p5, width, out=np.full(width.shape, np.inf), where=~flat)
-    rho = np.divide(t_mean - t_p5, width, out=np.zeros(width.shape), where=~flat)
-    kappa = _RATIO_ULP * (cut_slope + 2 * rho) + _RATIO_PICK_MARGIN * (rho + cut_slope)
-    return width, cut_slope, rho, kappa
 
 
 def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray:
@@ -375,13 +338,14 @@ def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray
     A value v clips only if it lies at or below the cut p5 - span*target.p5/(target.peak
     - target.p5), so a row clips only if its cut lies above its minimum, that is under a
     target whose p5 is small next to its width.  An evaluated row's 168 times scaled mean
-    is a*S + 168*b, with S its sum, and a rounding bound of _PICK_MARGIN.  Every other row
-    gets a lower bound on its deviation from its ratio distance, less the margins
-    _RATIO_ULP derives; the prefix maxima of r + kappa and the suffix minima of r - kappa
-    give the least such bound on each side of the evaluated window at once.  A pick stands
-    only where its deviation plus its bound is below every other row's bound, and where no
-    usable row may clip under the target.  _nearest_by_scan decides the rest, exact ties
-    and clipping targets included, so every pick is the scan's.
+    is a*S + 168*b, with S its sum.  Every other row's deviation is at least 168*(peak -
+    p5)*|r - rho| for the nearest ratio r beyond the window.  Each estimate is within one
+    margin per target of the scan's value (_MARGIN derives it), and a pick stands only
+    where its estimate plus that margin is below every other estimate less it, and where
+    no usable row may clip under the target.  _nearest_by_scan decides the rest, exact
+    ties and clipping targets included, so every pick is the scan's.  The margin grows
+    with the largest mean/span over the bases: a near-constant base, which
+    generate_base_traces never makes, sends every target to the scan.
     """
     peaks = base_matrix.max(axis=1)
     p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
@@ -390,7 +354,7 @@ def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray
         raise NoCandidateError("all candidate base traces are degenerate")
     spans = np.where(usable, peaks - p5s, 1.0)  # degenerate rows are never picked
     t_peak, t_p5, t_mean = np.array([(t.peak, t.p5, t.mean) for t in targets], dtype=float).T
-    # Magnitudes near the float limit can turn an estimate or a bound into inf or nan,
+    # Magnitudes near the float limit can turn an estimate or a margin into inf or nan,
     # which fails every comparison that would certify a pick: the scan decides.
     with np.errstate(over="ignore", invalid="ignore"):
         pick, certain = _nearest_by_ratio(base_matrix, p5s, spans, usable, t_peak, t_p5, t_mean)
@@ -414,40 +378,38 @@ def _nearest_by_ratio(
     n = len(rows)
     sums = base_matrix.sum(axis=1)[rows]
     p5, span = p5s[rows], spans[rows]
-    ratios, kappa = _ratio_keys(sums, p5, span)
+    means = sums / HOURS_PER_WEEK
+    ratios = (means - p5) / span
     mins = base_matrix.min(axis=1)[rows]
     # a base may clip under a target whose cut slope P/W is at most this
     clip_slope = np.max((p5 - mins + _CLIP_SLACK * p5) / span * (1 + _CLIP_SLACK))
-    width, cut_slope, rho, t_kappa = _target_keys(t_peak, t_p5, t_mean)
-    t_sum = HOURS_PER_WEEK * t_mean
+    # a flat target (W = 0) keeps every value: its cut slope is inf, its ratio 0
+    width = t_peak - t_p5
+    flat = width <= 0
+    cut_slope = np.divide(t_p5, width, out=np.full(width.shape, np.inf), where=~flat)
+    rho = np.divide(t_mean - t_p5, width, out=np.zeros(width.shape), where=~flat)
+    scale = HOURS_PER_WEEK * width
+    margin = _MARGIN * scale * (3 * np.max(means / span) + cut_slope + rho)
     order = np.argsort(ratios, kind="stable")
-    sorted_ratios = ratios[order]
-    # below[k]: the most r + kappa of the rows sorted before k; above[k]: the least
-    # r - kappa of the rows sorted from k on
-    below = np.full(n + 1, -np.inf)
-    np.maximum.accumulate(sorted_ratios + kappa[order], out=below[1:])
-    above = np.full(n + 1, np.inf)
-    np.minimum.accumulate((sorted_ratios - kappa[order])[::-1], out=above[-2::-1])
+    padded = np.concatenate(([-np.inf], ratios[order], [np.inf]))
 
     # the window: the _NEIGHBOURS rows on each side of rho, shifted inward at either end
     w = min(2 * _NEIGHBOURS, n)
-    lo = np.clip(np.searchsorted(sorted_ratios, rho) - _NEIGHBOURS, 0, n - w)
+    lo = np.clip(np.searchsorted(padded[1:-1], rho) - _NEIGHBOURS, 0, n - w)
     window = order[lo[:, None] + np.arange(w)]
     a = width[:, None] / span[window]
     b = t_p5[:, None] - a * p5[window]
     dev = a * sums[window]  # where no value clips, 168 times the scaled mean is a*S + 168*b
     dev += b * HOURS_PER_WEEK
-    dev -= t_sum[:, None]
+    dev -= (HOURS_PER_WEEK * t_mean)[:, None]
     np.abs(dev, out=dev)
-    bound = a * (_PICK_MARGIN * sums[window]) + (_PICK_MARGIN * t_sum)[:, None]
-    low = dev - bound
     each = np.arange(len(width))
     best = np.argmin(dev, axis=1)  # a nan comes first, and then nothing is certain
-    pick_high = dev[each, best] + bound[each, best]  # the most the pick's deviation can be
-    low[each, best] = np.inf
-    # every row outside the window has the bound of its ratio
-    reach = np.minimum(above[lo + w] - rho, rho - below[lo]) - t_kappa
-    others = np.minimum(low.min(axis=1), HOURS_PER_WEEK * width * reach)
+    pick_high = dev[each, best] + margin
+    dev[each, best] = np.inf
+    # the rows beyond the window: padded[lo] and padded[lo + w + 1] are the nearest ratios
+    beyond = scale * np.minimum(rho - padded[lo], padded[lo + w + 1] - rho)
+    others = np.minimum(dev.min(axis=1), beyond) - margin
     # a target under which some base may clip goes to the scan
     certain = (pick_high < others) & (width > 0) & (cut_slope > clip_slope)
     return rows[window[each, best]], certain
@@ -578,10 +540,13 @@ def _read_rates(csv_path: str | Path, n_bs: int) -> np.ndarray:
 
 def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenario:
     """Read save_scenario's files: the n_bs * 168 rows in the (bs_id, hour) order it writes."""
-    sidecar = json.loads(Path(stats_path).read_text())
+    sidecar = parse_json(Path(stats_path).read_bytes())
     try:
         stats = tuple(BSStats(**entry) for entry in sidecar["stats"])
         n_bs, area_km2 = len(stats), sidecar["area_km2"]
+        unknown = ", ".join(map(repr, sorted(sidecar.keys() - {"area_km2", "n_bs", "stats"})))
+        if unknown:
+            raise InvalidArgumentError(f"unknown key {unknown} in scenario sidecar {stats_path}")
         # JSON true and 1.0 equal 1, so the type is checked as well
         if type(sidecar["n_bs"]) is not int or sidecar["n_bs"] != n_bs:
             raise InvalidArgumentError(f"sidecar n_bs {sidecar['n_bs']!r} != {n_bs} stats")

@@ -1,10 +1,10 @@
 """Malformed inputs at the three boundaries: a channel-table file, a scenario sidecar and
-the HAPSRAN_* variables; then scenario counts beyond the machine's memory, and extreme
-[link] settings.
+the HAPSRAN_* variables; then scenario counts and UE populations beyond the machine's
+memory, and extreme [link] settings.
 
 Each mutation changes one thing in a valid input.  It must raise InvalidArgumentError in
-the library and, through main, exit 2 (3 for JSON that does not parse) before any trial
-runs or any output directory is made.
+the library and, through main, exit 2 (3 for JSON that does not parse, is not UTF-8 or
+nests too deeply) before any trial runs or any output directory is made.
 """
 
 import contextlib
@@ -103,6 +103,15 @@ _LIST = st.lists(st.integers(0, 9), max_size=2)
 _DICT = st.dictionaries(st.sampled_from("ab"), st.integers(0, 9), max_size=2)
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(min_value=-1e308, max_value=-1e-300))
+_HUGE_INT = st.just(10**400)  # finite as a JSON int, but too large for a float
+
+# JSON that does not parse as such: a byte that is not UTF-8, nesting deeper than the
+# parser's recursion, and an int with more digits than Python converts
+_UNPARSABLE_JSON = {
+    "not UTF-8": lambda raw: raw.replace(b'"', b'"\xff', 1),
+    "deep": lambda raw: b"[" * 100_000,
+    "digits": lambda raw: b"1" * 5000,
+}
 
 
 def _leaves(doc, path=()):
@@ -154,9 +163,9 @@ def table_mutation(draw):
         del parent[key]  # from a list, this shortens it
         return f"{path} removed", doc
     if isinstance(parent[key], str):
-        value = draw(st.one_of(_NULL_BOOL, _LIST, _DICT, _NON_FINITE, _NEGATIVE))
+        value = draw(st.one_of(_NULL_BOOL, _LIST, _DICT, _NON_FINITE, _NEGATIVE, _HUGE_INT))
     else:
-        kinds = [_NULL_BOOL, _STRING, _LIST, _DICT, _NON_FINITE]
+        kinds = [_NULL_BOOL, _STRING, _LIST, _DICT, _NON_FINITE, _HUGE_INT]
         if path[0] != "bel":  # entry-loss coefficients may be negative
             kinds.append(_NEGATIVE)
         value = draw(st.one_of(kinds))
@@ -182,20 +191,33 @@ class TestChannelTables:
         out = tmp_path / "out"
         assert_rejected(run_argv(workdir, out, "--channel-tables", str(path)), out, code=3)
 
+    @pytest.mark.parametrize("defect", sorted(_UNPARSABLE_JSON))
+    def test_json_that_cannot_be_read_exits_3(self, workdir, tmp_path, defect):
+        path = tmp_path / "tables.json"
+        path.write_bytes(_UNPARSABLE_JSON[defect](json.dumps(BUNDLED_TABLES).encode()))
+        with pytest.raises(json.JSONDecodeError):
+            load_channel_tables(path)
+        out = tmp_path / "out"
+        assert_rejected(run_argv(workdir, out, "--channel-tables", str(path)), out, code=3)
+
 
 _STAT_FIELDS = ("peak", "p5", "mean", "capacity", "max_load")
+_SIDECAR_KEYS = ("area_km2", "n_bs", "stats")
 
 
 @st.composite
 def sidecar_mutation(draw, n_bs: int):
     """(a path into a sidecar of n_bs stats, its replacement or ... to remove it):
-    one top-level key or one stat field."""
+    one top-level key or one stat field, or a top-level key that no reader knows."""
+    values = [_NULL_BOOL, _STRING, _LIST, _DICT, _NON_FINITE, _NEGATIVE, _HUGE_INT]
+    if draw(st.booleans()):  # such as a misspelt "areakm2"
+        key = draw(st.text(min_size=1, max_size=12).filter(lambda k: k not in _SIDECAR_KEYS))
+        return (key,), draw(st.one_of(st.just(1.0), *values))
     path = draw(st.one_of(
-        st.tuples(st.sampled_from(["area_km2", "n_bs", "stats"])),
+        st.tuples(st.sampled_from(_SIDECAR_KEYS)),
         st.tuples(st.just("stats"), st.integers(0, n_bs - 1), st.sampled_from(_STAT_FIELDS)),
     ))
-    value = draw(st.one_of(_NULL_BOOL, _STRING, _LIST, _DICT, _NON_FINITE, _NEGATIVE, st.just(...)))
-    return path, value
+    return path, draw(st.one_of(*values, st.just(...)))
 
 
 def _mutated_sidecar(workdir: Path, n_bs: int, path, value) -> Path:
@@ -240,6 +262,22 @@ class TestScenarioSidecar:
         out = tmp_path / "out"
         assert_rejected(run_argv(workdir, out, scenario=scenario), out, code=3)
 
+    @pytest.mark.parametrize("defect", sorted(_UNPARSABLE_JSON))
+    def test_json_that_cannot_be_read_exits_3(self, workdir, tmp_path, defect):
+        scenario = _mutated_sidecar(workdir, 3, ("n_bs",), 3)
+        sidecar = scenario / "scenario_stats.json"
+        sidecar.write_bytes(_UNPARSABLE_JSON[defect](sidecar.read_bytes()))
+        with pytest.raises(json.JSONDecodeError):
+            load_scenario(scenario / "scenario.csv", sidecar)
+        out = tmp_path / "out"
+        assert_rejected(run_argv(workdir, out, scenario=scenario), out, code=3)
+
+    def test_unknown_key_is_named(self, workdir, tmp_path):
+        scenario = _mutated_sidecar(workdir, 3, ("areakm2",), 30.0)
+        out = tmp_path / "out"
+        code, _, err = run_main(run_argv(workdir, out, scenario=scenario))
+        assert code == 2 and "'areakm2'" in err, err
+
 
 # text that no SCHEMA parser reads: int, float and a comma-separated float list
 _UNPARSABLE = ["", "abc", "0x1f", "1 2", "1;2"]
@@ -253,11 +291,12 @@ _OUT_OF_DOMAIN = {
                "eta": ["0", "1.5"], "p_tx_w": ["0", "-1"], "dt_s": ["0", "-1"]},
     "link": {"n_rows": ["0", "-1"], "m_cols": ["0", "-1"], "f_c_ghz": ["0", "-1"],
              "haps_height_km": ["0", "-1"], "bandwidth_hz": ["0", "-1"]},
-    "study": {"trials": ["0", "-1"], "master_seed": ["-1"],
+    "study": {"master_seed": ["-1"],
               "elevation_set": ["0", "-10", "95", "60,95"],
               "indoor_min": ["-0.5", "1.5"], "indoor_max": ["-0.5", "1.5"],
               "traditional_min": ["-0.5", "1.5"], "traditional_max": ["-0.5", "1.5"],
-              "ue_density_per_km2": ["0", "-1"], "n_carriers": ["0", "-1"],
+              "trials": ["0", "-1", str(10**400)],
+              "ue_density_per_km2": ["0", "-1", "1e300"], "n_carriers": ["0", "-1", str(10**400)],
               "aggregation": ["", "bogus", "MEAN"]},
     "offload": {"min_active_frac": ["-0.1", "1.5"]},
 }
@@ -297,6 +336,17 @@ class TestEnvironment:
             assert_rejected(argv, out)
 
 
+    def test_undecodable_config_exits_2(self, workdir, tmp_path):
+        config = tmp_path / "config.ini"
+        config.write_bytes(b"# caf\xe9\n" + SMALL_CONFIG.encode())
+        with pytest.raises(InvalidArgumentError, match="malformed config file"):
+            cli.load_config(str(config))
+        out = tmp_path / "out"
+        argv = run_argv(workdir, out)
+        argv[argv.index("--config") + 1] = str(config)
+        assert_rejected(argv, out)
+
+
 class TestScenarioMemory:
     def test_counts_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
         # 1010 rows of 168 float64 hours are 1.4 MB: a small build even without the check
@@ -307,6 +357,19 @@ class TestScenarioMemory:
         code, _, err = run_main(["scenario", "--config", str(workdir / "small.ini"), "--out", str(out)])
         assert code == 2, err
         assert "[scenario] n_bases" in err and "m_targets" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density, threads", [("700", "1"), ("300", "2")])
+    def test_ue_population_beyond_physical_memory_exits_2(
+        self, workdir, monkeypatch, density, threads
+    ):
+        # 21,000 UEs, or 9000 on each of two workers, at 64 bytes each exceed 1 MiB
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setenv("HAPSRAN_STUDY_UE_DENSITY_PER_KM2", density)
+        out = fresh_out(workdir)
+        code, trials, err = run_main(run_argv(workdir, out, "--threads", threads))
+        assert (code, trials) == (2, 0), err
+        assert "[study] ue_density_per_km2" in err and "area_km2 of 30.0" in err
         assert not out.exists()
 
     def test_memory_is_unknown_without_sysconf(self, monkeypatch):

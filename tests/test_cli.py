@@ -288,6 +288,15 @@ class TestTrialCommand:
             interval = "[0.6, 0.9]" if flag == "--indoor" else "[0.3, 0.7]"
             assert f"{value} outside {interval}" in capsys.readouterr().err
 
+    def test_takes_no_trials_flag(self, config_file, scenario_dir, capsys):
+        # the trial's stream is (master_seed, 0, 2) whatever the trial count
+        argv = ["trial", "--config", config_file, "--scenario", scenario_dir, "--elevation", "90",
+                "--indoor", "0.7", "--traditional", "0.5", "--trials", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
+
     def test_repeatable_dump(self, config_file, scenario_dir, capsys):
         argv = [
             "trial", "--config", config_file, "--scenario", scenario_dir,

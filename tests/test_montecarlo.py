@@ -17,7 +17,7 @@ from hapsran import (
     run_trial,
     sample_trial_config,
 )
-from hapsran import montecarlo, offload
+from hapsran import montecarlo, offload, traffic
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,19 @@ class TestRunStudy:
                     )
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_pooled_study_sorts_the_hours_once(self, study, monkeypatch):
+        calls = []  # list.append is atomic, so worker threads can share it
+        real_sort_hours = traffic.sort_hours
+
+        def counting(*args):
+            calls.append(1)
+            return real_sort_hours(*args)
+
+        monkeypatch.setattr(traffic, "sort_hours", counting)
+        fresh = TrafficScenario(rate_matrix=study.scenario.rate_matrix, stats=study.scenario.stats)
+        run_study(dataclasses.replace(study, scenario=fresh, n_workers=2))
+        assert calls == [1]
 
     def test_one_worker_runs_inline(self, study, monkeypatch):
         pools = []

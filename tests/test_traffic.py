@@ -603,40 +603,40 @@ class TestMatcherEqualsScan:
         assert_matches_scan(_bases(n, seed), generate_target_stats(m, seed))
         assert picks == []
 
-    def test_ratio_bound_is_sound_and_tight(self):
-        # For a row that does not clip, 168 * W * (|r - rho| - kappa(base) - kappa(target))
-        # is at most its exact deviation less its _PICK_MARGIN bound.  The margins allow
-        # for the rounding of r, rho, a and b; over these draws more than half of that
-        # allowance is used up at least once.
+    def test_margin_is_sound(self):
+        # On rows that do not clip, both of _nearest_by_ratio's estimates, the closed form
+        # a*S + 168*b and 168*W*|r - rho|, are within the margin of the scan's 168 times
+        # |scaled mean - mean|, over row scales 2**-30 to 2**30 and target floors 1e-8 to 1e6.
         rng = np.random.default_rng(14)
-        used = []
-        for _ in range(300):
-            row = rng.uniform(0.5, 2.0, HOURS_PER_WEEK) * 2.0 ** rng.integers(-4, 5)
+        checked = 0
+        for _ in range(2000):
+            row = rng.uniform(0.5, 2.0, HOURS_PER_WEEK) * 2.0 ** rng.integers(-30, 31)
             p5 = np.partition(row, traffic._P5_RANK)[traffic._P5_RANK : traffic._P5_RANK + 1]
             span = np.max(row, keepdims=True) - p5
-            sums = np.sum(row, keepdims=True)
-            ratio, kappa = traffic._ratio_keys(sums, p5, span)
-            floor = float(rng.uniform(0.5, 2.0)) * 10.0 ** rng.uniform(-3, 2)
-            peak = floor + float(rng.uniform(0.5, 2.0))
-            frac = min(float(ratio[0]) * rng.uniform(0.2, 1.8), 1.0)
+            total = np.sum(row)
+            mean_row = total / HOURS_PER_WEEK
+            ratio = (mean_row - p5[0]) / span[0]
+            floor = 10.0 ** rng.uniform(-8, 6)
+            peak = floor + floor * 10.0 ** rng.uniform(-3, 1.3)
+            frac = min(ratio * rng.uniform(0.2, 1.8), 1.0)
             mean = min(floor + (peak - floor) * frac, peak)
-            width, _, rho, t_kappa = traffic._target_keys(
-                np.array([peak]), np.array([floor]), np.array([mean])
-            )
-            a = width[0] / span[0]  # the scan's a and b
-            b = floor - a * p5[0]
-            exact = [Fraction(float(x)) for x in (a, b, sums[0], mean, width[0], row.min())]
-            a, b, total, mean, width, low = exact
-            if a * low + b < 0:
+            width = peak - floor
+            rho = (mean - floor) / width
+            scale = HOURS_PER_WEEK * width
+            g = mean_row / span[0]
+            margin = traffic._MARGIN * scale * (3 * g + floor / width + rho)
+            scaled = traffic._scale_rows(row[None], p5, span, peak, floor, np.empty_like(row[None]))
+            if scaled.min() == 0:
                 continue  # a value clips
-            dev = abs(a * total + HOURS_PER_WEEK * b - HOURS_PER_WEEK * mean)
-            bound = Fraction(traffic._PICK_MARGIN) * (a * total + HOURS_PER_WEEK * mean)
-            dist = abs(Fraction(float(ratio[0])) - Fraction(float(rho[0])))
-            margin = Fraction(float(kappa[0])) + Fraction(float(t_kappa[0]))
-            assert dev - bound >= HOURS_PER_WEEK * width * (dist - margin)
-            rounding = dist - dev / (HOURS_PER_WEEK * width)
-            used.append(rounding / (margin - bound / (HOURS_PER_WEEK * width)))
-        assert len(used) > 200 and max(used) > 0.5
+            scan = HOURS_PER_WEEK * abs(Fraction(float(scaled.mean(axis=1)[0])) - Fraction(mean))
+            a = width / span[0]  # the matcher's a and b, and its closed form
+            b = floor - a * p5[0]
+            closed = abs(a * total + b * HOURS_PER_WEEK - HOURS_PER_WEEK * mean)
+            by_ratio = scale * abs(ratio - rho)
+            for estimate in (closed, by_ratio):
+                assert abs(Fraction(float(estimate)) - scan) <= Fraction(float(margin))
+            checked += 1
+        assert checked > 1000
 
 
 class TestTrafficScenario:
