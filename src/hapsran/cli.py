@@ -137,7 +137,7 @@ def _study_config(args) -> StudyConfig:
     for name in ("indoor", "traditional"):
         lo, hi = getattr(StudyConfig, f"{name}_range")  # the field's default
         settings[f"{name}_range"] = (settings.pop(f"{name}_min", lo), settings.pop(f"{name}_max", hi))
-    if getattr(args, "trials", None) is not None:  # hapsran trial has no --trials
+    if args.trials is not None:
         settings["n_trials"] = args.trials
     if args.seed is not None:
         settings["master_seed"] = args.seed
@@ -148,21 +148,18 @@ def _study_config(args) -> StudyConfig:
         energy=EnergyParams(**cfg["energy"]),
         use_shadow_fading=not args.no_shadow_fading,
         use_building_entry_loss=not args.no_bel,
-        n_workers=getattr(args, "threads", 1),
+        n_workers=args.threads,
         **settings,
     )
     # a trial holds about 64 bytes per UE, and up to n_workers trials run at once; the
     # product is taken in float, so that an overflow reads inf
     density, area = study.ue_density_per_km2, study.scenario.area_km2
     workers = min(study.n_workers, study.n_trials)
-    need, memory = density * float(area) * 64.0 * workers, _physical_memory_bytes()
-    if memory is not None and need > memory:
-        raise InvalidArgumentError(
-            f"bad [study] ue_density_per_km2 (or {_env_key('study', 'ue_density_per_km2')}): "
-            f"{density} UEs per km2 over the scenario's area_km2 of {area} km2 need about "
-            f"{need:.3g} bytes on {workers} worker(s), more than the {memory} bytes of "
-            "physical memory"
-        )
+    _require_memory(
+        density * float(area) * 64.0 * workers,
+        f"bad [study] ue_density_per_km2 (or {_env_key('study', 'ue_density_per_km2')}): "
+        f"{density} UEs per km2 over the scenario's area_km2 of {area} km2 on {workers} worker(s)",
+    )
     return study
 
 
@@ -175,25 +172,31 @@ def _physical_memory_bytes() -> int | None:
     return memory if memory > 0 else None
 
 
+def _require_memory(need, what: str) -> None:
+    """Reject the settings that what names if they need more than the physical memory or,
+    where os.sysconf cannot tell it, than the largest array numpy can index."""
+    memory = _physical_memory_bytes()
+    limit = memory or np.iinfo(np.intp).max
+    of = "physical memory" if memory else "numpy's largest array"
+    if need > limit:
+        need = need if need <= sys.float_info.max else np.inf  # an int too large for a float
+        raise InvalidArgumentError(
+            f"{what} need about {need:.3g} bytes, more than the {limit} bytes of {of}"
+        )
+
+
 def cmd_scenario(args) -> int:
     settings = {**_SCENARIO_DEFAULTS, **load_config(args.config)["scenario"]}
     if args.seed is not None:
         settings["seed"] = args.seed
-    for key in ("n_bases", "m_targets"):
-        # a (count, 168) float64 matrix larger than numpy can index
-        if settings[key] * traffic.HOURS_PER_WEEK * 8 > np.iinfo(np.intp).max:
-            raise InvalidArgumentError(
-                f"bad [scenario] {key} (or {_env_key('scenario', key)}): {settings[key]} "
-                f"rows of {traffic.HOURS_PER_WEEK} hours exceed the largest array numpy can hold"
-            )
-    # building the scenario holds about three (n_bases + m_targets, 168) float64 arrays
-    n_rows = settings["n_bases"] + settings["m_targets"]
-    need, memory = 3 * n_rows * traffic.HOURS_PER_WEEK * 8, _physical_memory_bytes()
-    if memory is not None and need > memory:
-        raise InvalidArgumentError(
-            f"bad [scenario] n_bases and m_targets: {n_rows} rows of {traffic.HOURS_PER_WEEK} "
-            f"hours need about {need} bytes, more than the {memory} bytes of physical memory"
-        )
+    # building the scenario holds about three (n_bases + m_targets, 168) float64 arrays;
+    # the builder rejects a count below 1
+    n_rows = max(settings["n_bases"], 0) + max(settings["m_targets"], 0)
+    _require_memory(
+        3 * n_rows * traffic.HOURS_PER_WEEK * 8,
+        f"bad [scenario] n_bases and m_targets: {settings['n_bases']} and {settings['m_targets']} "
+        f"rows of {traffic.HOURS_PER_WEEK} hours",
+    )
     scenario = traffic.build_scenario(**settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,8 +248,8 @@ def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
         min_active_frac=study.min_active_frac, c_haps=results[0].c_haps_mbps
     )
     schedule = offload_week(study.scenario, study.energy, cons)
-    active_energy = bs_energy(study.energy, study.scenario.rate_matrix.T, study.scenario.capacities)
-    energy = np.where(schedule.active, active_energy, sleep_energy(study.energy))
+    awake = bs_energy(study.energy, study.scenario.rate_matrix.T, study.scenario.capacities)
+    energy = np.where(schedule.active, awake, sleep_energy(study.energy))
     columns = [("hour", int), ("bs_id", int), ("active", int), ("energy", float)]
     traffic.write_csv_grid(path, columns, enumerate(zip(schedule.active, energy)))
 
@@ -317,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trial.add_argument("--elevation", type=float, required=True)
     p_trial.add_argument("--indoor", type=float, required=True)
     p_trial.add_argument("--traditional", type=float, required=True)
-    p_trial.set_defaults(func=cmd_trial)
+    # a trial is a study of one trial on one thread, whatever [study] trials says
+    p_trial.set_defaults(func=cmd_trial, trials=1, threads=1)
 
     return parser
 

@@ -61,12 +61,7 @@ def bs_energy(params: EnergyParams, rate, capacity):
     rate = np.asarray(rate, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
     check_load(rate, capacity)
-    return scalar_or_array(active_energy(params, rate, capacity))
-
-
-def active_energy(params: EnergyParams, rate: np.ndarray, capacity: np.ndarray) -> np.ndarray:
-    """bs_energy of float arrays whose load check_load has passed already."""
-    return params.static_energy + params.full_load_dynamic * (rate / capacity)
+    return scalar_or_array(params.static_energy + params.full_load_dynamic * (rate / capacity))
 
 
 def sleep_energy(params: EnergyParams) -> float:

@@ -70,11 +70,6 @@ class UEPopulation:
         return len(self.los)
 
 
-def _seed_sequence(stream: SeedLike) -> np.random.SeedSequence:
-    entropy = list(stream) if isinstance(stream, tuple) else [stream]
-    return np.random.SeedSequence(entropy)
-
-
 def sample_ue_population(cfg: TrialConfig, tables: ChannelTables) -> UEPopulation:
     """Draw the trial's UE features, deterministic per rng_stream.
 
@@ -83,7 +78,7 @@ def sample_ue_population(cfg: TrialConfig, tables: ChannelTables) -> UEPopulatio
     individual noise sources fixed.
     """
     n = math.ceil(cfg.ue_density_per_km2 * cfg.area_km2)
-    pop_ss, sf_ss, bel_ss = _seed_sequence(cfg.rng_stream).spawn(3)
+    pop_ss, sf_ss, bel_ss = np.random.SeedSequence(cfg.rng_stream).spawn(3)
     rng = np.random.default_rng(pop_ss)
     # each uniform is thresholded as soon as it is drawn, so only its flags stay alive
     los = rng.random(n) < los_probability(tables, cfg.elevation_deg)

@@ -56,14 +56,12 @@ def energy_saving(result: TrialResult, mask: PeriodMask) -> float:
     return 1.0 - float(result.energy_per_hour[idx].sum()) / base
 
 
-def sorted_saving_curves(
-    results: list[TrialResult], masks: tuple[PeriodMask, ...] = DEFAULT_MASKS
-) -> dict[str, np.ndarray]:
-    """Each mask's per-trial savings, sorted ascending independently per mask."""
+def sorted_saving_curves(results: list[TrialResult]) -> dict[str, np.ndarray]:
+    """Each DEFAULT_MASKS mask's per-trial savings, sorted ascending independently per mask."""
     if not results:
         raise InvalidArgumentError("no trial results")
     return {
-        mask.name: np.sort([energy_saving(r, mask) for r in results]) for mask in masks
+        mask.name: np.sort([energy_saving(r, mask) for r in results]) for mask in DEFAULT_MASKS
     }
 
 
@@ -78,10 +76,9 @@ def _trial_cells(r: TrialResult) -> list:
 
 
 def write_figure2_csv(path: str | Path, results: list[TrialResult]) -> None:
-    curves = sorted_saving_curves(results, DEFAULT_MASKS)
-    names = ["week", "night", "weekday", "weekend"]
-    rows = ([rank] + [curves[n][rank] for n in names] for rank in range(len(results)))
-    write_csv_rows(path, [("rank", int), *((n, float) for n in names)], rows)
+    curves = sorted_saving_curves(results)
+    rows = ([rank] + [c[rank] for c in curves.values()] for rank in range(len(results)))
+    write_csv_rows(path, [("rank", int), *((name, float) for name in curves)], rows)
 
 
 def write_figure3_csv(path: str | Path, results: list[TrialResult]) -> None:

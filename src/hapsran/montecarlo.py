@@ -109,8 +109,9 @@ class TrialResult:
     never_active_bs_count: int
 
     def __post_init__(self):
-        if not self.baseline_energy >= self.total_energy > 0:
-            raise InvalidArgumentError("expected baseline_energy >= total_energy > 0")
+        # with e0 = 0, a week in which every BS sleeps costs exactly 0
+        if not self.baseline_energy >= self.total_energy >= 0:
+            raise InvalidArgumentError("expected baseline_energy >= total_energy >= 0")
 
 
 def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:

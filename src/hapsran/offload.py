@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import check_load
-# bs_energy goes unused here, but perfbench/tracing.py and the tests patch it by name
-from .energymodel import EnergyParams, active_energy, bs_energy, sleep_energy  # noqa: F401
+from .energymodel import EnergyParams, bs_energy, sleep_energy
 from .errors import InstanceTooLargeError, InvalidArgumentError
 from .traffic import HourOrder, TrafficScenario, sort_hours
 
@@ -159,7 +158,7 @@ def exact_oracle_hour(
     Limited to N <= 20 (2^N enumeration).
     """
     rates, capacities = _hour_inputs(rates, capacities)
-    per_bs = active_energy(params, rates, capacities)
+    per_bs = bs_energy(params, rates, capacities)
     n = rates.size
     if n > _ORACLE_MAX_N:
         raise InstanceTooLargeError(f"oracle limited to N <= {_ORACLE_MAX_N}, got {n}")

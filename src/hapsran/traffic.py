@@ -227,15 +227,18 @@ def generate_base_traces(n: int, seed: int) -> list[WeeklyTrace]:
     return [WeeklyTrace(row) for row in traces]
 
 
-def generate_target_stats(
-    m: int,
-    seed: int,
-    capacity_range: tuple[float, float] = (100.0, 400.0),
-    p5_ratio_range: tuple[float, float] = (0.05, 0.4),
-    max_load_range: tuple[float, float] = (0.5, 0.9),
-    peak_load_range: tuple[float, float] = (0.08, 0.35),
-) -> list[BSStats]:
-    """Draw m per-BS target statistics satisfying all BSStats invariants.
+# The target prior: the uniform range of each of a target's five draws, in draw order
+_TARGET_PRIOR = (
+    (100.0, 400.0),  # capacity (Mbps)
+    (0.5, 0.9),  # max_load
+    (0.08, 0.35),  # peak / (max_load * capacity)
+    (0.05, 0.4),  # p5 / peak
+    (0.25, 0.5),  # (mean - p5) / (peak - p5)
+)
+
+
+def generate_target_stats(m: int, seed: int) -> list[BSStats]:
+    """Draw m per-BS target statistics from _TARGET_PRIOR, satisfying all BSStats invariants.
 
     The peak is placed at a random fraction of the admissible ceiling
     max_load * capacity, the 5th percentile at a random fraction of the peak,
@@ -245,7 +248,7 @@ def generate_target_stats(
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got {m}")
     rng = _stream(seed, 0x57A7)
-    lows, highs = zip(capacity_range, max_load_range, peak_load_range, p5_ratio_range, (0.25, 0.5))
+    lows, highs = zip(*_TARGET_PRIOR)
     capacity, max_load, peak_frac, p5_frac, mean_frac = rng.uniform(lows, highs, size=(m, 5)).T
     peak = capacity * max_load * peak_frac
     p5 = peak * p5_frac
@@ -420,11 +423,10 @@ def build_scenario(
     m_targets: int,
     seed: int,
     area_km2: float = TrafficScenario.area_km2,
-    **stats_kwargs,
 ) -> TrafficScenario:
     """Generate bases and targets, then match one scaled trace per target."""
     bases = generate_base_traces(n_bases, seed)
-    stats = generate_target_stats(m_targets, seed, **stats_kwargs)
+    stats = generate_target_stats(m_targets, seed)
     rates = _matched_rows(np.stack([t.values for t in bases]), stats)
     return TrafficScenario._adopt(rates, tuple(stats), area_km2)
 

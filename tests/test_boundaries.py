@@ -1,6 +1,6 @@
-"""Malformed inputs at the three boundaries: a channel-table file, a scenario sidecar and
-the HAPSRAN_* variables; then scenario counts and UE populations beyond the machine's
-memory, and extreme [link] settings.
+"""Malformed inputs at the boundaries: a channel-table file, a scenario sidecar, the rows
+of a scenario CSV and the HAPSRAN_* variables; then scenario counts and UE populations
+beyond the machine's memory, and extreme [link] settings.
 
 Each mutation changes one thing in a valid input.  It must raise InvalidArgumentError in
 the library and, through main, exit 2 (3 for JSON that does not parse, is not UTF-8 or
@@ -279,6 +279,93 @@ class TestScenarioSidecar:
         assert code == 2 and "'areakm2'" in err, err
 
 
+_ROW_MUTATIONS = ["swap", "duplicate", "delete", "bs_id", "hour", "rate", "cell", "blank"]
+# rate cells that are no rate: NaN, infinite, negative or no number at all
+_BAD_RATES = ["nan", "inf", "-inf", "-1", "-1.0", "abc", "", "1..0", "0x10"]
+
+
+@st.composite
+def scenario_rows_mutation(draw, lines: list[bytes], limits: list[float]):
+    """(what changed, scenario.csv's lines with one row swapped with another, duplicated,
+    deleted, given another bs_id or hour, given a rate that is no rate or above its BS's
+    max_load * capacity, given one more cell, or preceded by a blank line)."""
+    rows = lines[1:]
+    k = draw(st.integers(0, len(rows) - 1), label="row")
+    kind = draw(st.sampled_from(_ROW_MUTATIONS), label="kind")
+    cells = rows[k].split(b",")
+    if kind == "swap":
+        j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != k), label="other")
+        rows[j], rows[k] = rows[k], rows[j]
+    elif kind == "duplicate":
+        rows.insert(k, rows[k])
+    elif kind == "delete":
+        del rows[k]
+    elif kind == "blank":
+        rows.insert(draw(st.integers(1, len(rows) - 1), label="at"), b"")
+    elif kind == "cell":
+        rows[k] += b"," + draw(st.sampled_from([b"0", b"1.5", b""]))
+    elif kind == "rate":
+        limit = limits[int(cells[0])]
+        above = repr(limit * draw(st.floats(1 + 1e-6, 1e6), label="times")).encode()
+        cells[2] = draw(st.sampled_from([above, *(r.encode() for r in _BAD_RATES)]))
+        rows[k] = b",".join(cells)
+    else:  # another bs_id or hour, whether in range or not
+        column = 0 if kind == "bs_id" else 1
+        value = draw(st.integers(-2, 2**70).filter(lambda v: v != int(cells[column])))
+        cells[column] = str(value).encode()
+        rows[k] = b",".join(cells)
+    return f"{kind} at row {k}", [lines[0], *rows]
+
+
+def _with_trailing_zeros(cell: bytes) -> bytes:
+    """The rate cell written with three more zeros in its mantissa: the same value."""
+    mantissa, e, exponent = cell.partition(b"e")
+    return mantissa + (b"" if b"." in mantissa else b".") + b"000" + e + exponent
+
+
+class TestScenarioRows:
+    @pytest.fixture(scope="class")
+    def source(self, workdir):
+        """The lines of the small scenario's CSV, and each BS's max_load * capacity."""
+        scenario = workdir / "scenario"
+        lines = (scenario / "scenario.csv").read_bytes().split(b"\r\n")
+        assert lines.pop() == b""
+        stats = json.loads((scenario / "scenario_stats.json").read_text())["stats"]
+        return lines, [s["max_load"] * s["capacity"] for s in stats]
+
+    def _write(self, workdir: Path, lines: list[bytes]) -> Path:
+        out = Path(tempfile.mkdtemp(dir=workdir))
+        (out / "scenario.csv").write_bytes(b"\r\n".join(lines) + b"\r\n")
+        sidecar = workdir / "scenario" / "scenario_stats.json"
+        (out / "scenario_stats.json").write_bytes(sidecar.read_bytes())
+        return out
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_rows_are_rejected(self, workdir, source, data):
+        lines, limits = source
+        what, mutated = data.draw(scenario_rows_mutation(list(lines), limits))
+        scenario = self._write(workdir, mutated)
+        with pytest.raises(InvalidArgumentError):
+            load_scenario(scenario / "scenario.csv", scenario / "scenario_stats.json")
+        out = fresh_out(workdir)
+        assert_rejected(run_argv(workdir, out, scenario=scenario), out)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rate_with_trailing_zeros_loads_the_same_matrix(self, workdir, source, data):
+        lines, _ = source
+        rewritten = list(lines)
+        for k in data.draw(st.lists(st.integers(1, len(lines) - 1), min_size=1, max_size=20)):
+            bs_id, hour, rate = rewritten[k].split(b",")
+            rewritten[k] = b",".join([bs_id, hour, _with_trailing_zeros(rate)])
+        original = workdir / "scenario"
+        scenario = self._write(workdir, rewritten)
+        expected = load_scenario(original / "scenario.csv", original / "scenario_stats.json")
+        loaded = load_scenario(scenario / "scenario.csv", scenario / "scenario_stats.json")
+        assert loaded.rate_matrix.tobytes() == expected.rate_matrix.tobytes()
+
+
 # text that no SCHEMA parser reads: int, float and a comma-separated float list
 _UNPARSABLE = ["", "abc", "0x1f", "1 2", "1;2"]
 _NOT_FINITE = ["nan", "inf", "-inf", "1e309"]
@@ -370,6 +457,27 @@ class TestScenarioMemory:
         code, trials, err = run_main(run_argv(workdir, out, "--threads", threads))
         assert (code, trials) == (2, 0), err
         assert "[study] ue_density_per_km2" in err and "area_km2 of 30.0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "env, command",
+        [({"HAPSRAN_STUDY_UE_DENSITY_PER_KM2": "1e300"}, "run"),
+         ({"HAPSRAN_SCENARIO_N_BASES": str(2**60)}, "scenario")],
+        ids=["ue_density", "n_bases"],
+    )
+    def test_unknown_memory_falls_back_to_numpy_limit(self, workdir, monkeypatch, env, command):
+        # where os.sysconf cannot tell the memory, the limit is the largest array numpy indexes
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: None)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = fresh_out(workdir)
+        if command == "run":
+            argv = run_argv(workdir, out)
+        else:
+            argv = ["scenario", "--config", str(workdir / "small.ini"), "--out", str(out)]
+        code, trials, err = run_main(argv)
+        assert (code, trials) == (2, 0), err
+        assert "numpy's largest array" in err
         assert not out.exists()
 
     def test_memory_is_unknown_without_sysconf(self, monkeypatch):

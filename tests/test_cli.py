@@ -49,6 +49,11 @@ ue_density_per_km2 = 100
 """
 
 
+# appended to TINY_CONFIG: 1000 carriers carry every hour of the tiny scenario, and no BS
+# must stay on
+ASLEEP = "n_carriers = 1000\n\n[offload]\nmin_active_frac = 0\n"
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "small.ini"
@@ -138,9 +143,8 @@ class TestRunCommand:
         assert len((tmp_path / "figure3.csv").read_text().splitlines()) == 3
 
     def test_every_bs_asleep_offloads_exactly_all(self, tmp_path):
-        # 1000 carriers carry every hour of the tiny scenario, and no BS must stay on
         cfg = tmp_path / "asleep.ini"
-        cfg.write_text(TINY_CONFIG + "n_carriers = 1000\n\n[offload]\nmin_active_frac = 0\n")
+        cfg.write_text(TINY_CONFIG + ASLEEP)
         scenario, out = tmp_path / "scenario", tmp_path / "results"
         assert main(["scenario", "--config", str(cfg), "--out", str(scenario)]) == 0
         argv = ["run", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out),
@@ -150,6 +154,27 @@ class TestRunCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 168
         assert {row["offloaded_frac"] for row in rows} == {"1.0"}
+
+    def test_a_week_may_cost_nothing(self, tmp_path, capsys):
+        # every BS sleeps in every hour, and with e0 = 0 a sleeping BS costs nothing
+        cfg = tmp_path / "free.ini"
+        cfg.write_text(TINY_CONFIG + ASLEEP + "\n[energy]\ne0 = 0\n")
+        scenario, out = tmp_path / "scenario", tmp_path / "results"
+        assert main(["scenario", "--config", str(cfg), "--out", str(scenario)]) == 0
+        argv = ["run", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out),
+                "--trials", "2"]
+        assert main(argv) == 0
+        with (out / "trials.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert (row["week_saving"], row["night_saving"]) == ("1.0", "1.0")
+            assert row["total_energy"] == "0.0"
+        capsys.readouterr()
+        argv = ["trial", "--config", str(cfg), "--scenario", str(scenario), "--elevation", "70",
+                "--indoor", "0.7", "--traditional", "0.5"]
+        assert main(argv) == 0
+        assert "saving[week]: 1.0000\n" in capsys.readouterr().out
 
     def test_missing_scenario_exit_2(self, config_file, tmp_path):
         code = main(
@@ -296,6 +321,25 @@ class TestTrialCommand:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", str(10**400)], ids=["zero", "401-digits"])
+    def test_ignores_study_trials(self, scenario_dir, tmp_path, capsys, trials):
+        # a trial is a study of one trial, whatever [study] trials says; a study is not
+        stdout = []
+        for extra in ("", f"trials = {trials}\n"):
+            cfg = tmp_path / "trials.ini"
+            cfg.write_text(SMALL_CONFIG.replace("trials = 3\n", extra))
+            argv = ["trial", "--config", str(cfg), "--scenario", scenario_dir, "--elevation", "90",
+                    "--indoor", "0.7", "--traditional", "0.5"]
+            assert main(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+        if trials == "0":
+            out = tmp_path / "out"
+            argv = ["run", "--config", str(cfg), "--scenario", scenario_dir, "--out", str(out)]
+            assert main(argv) == 2
+            assert "n_trials must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_repeatable_dump(self, config_file, scenario_dir, capsys):
         argv = [

@@ -236,22 +236,21 @@ class TestGenerateTargetStats:
         assert all(type(v) is float for s in stats for v in vars(s).values())
 
     @given(
-        data=st.data(),
         m=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_drawn_ranges_equal_scalar_draw_reference(self, data, m, seed):
-        def a_range(lo, hi):
-            return tuple(sorted(data.draw(st.tuples(st.floats(lo, hi), st.floats(lo, hi)))))
-
+    def test_drawn_ranges_equal_scalar_draw_reference(self, m, seed):
+        # the one prior's ranges, each passed to the reference under its own name
+        capacity, max_load, peak_load, p5_ratio, mean_ratio = traffic._TARGET_PRIOR
+        assert mean_ratio == (0.25, 0.5)  # the reference's own mean range
         ranges = dict(
-            capacity_range=a_range(1e-3, 1e6),
-            p5_ratio_range=a_range(0.0, 1.0),
-            max_load_range=a_range(1e-3, 1.0),
-            peak_load_range=a_range(0.0, 1.0),
+            capacity_range=capacity,
+            p5_ratio_range=p5_ratio,
+            max_load_range=max_load,
+            peak_load_range=peak_load,
         )
-        assert generate_target_stats(m, seed, **ranges) == target_stats_reference(m, seed, **ranges)
+        assert generate_target_stats(m, seed) == target_stats_reference(m, seed, **ranges)
 
 
 class TestScaleTrace:
@@ -394,12 +393,13 @@ class TestBuildScenario:
         ids=["peak_eq_p5", "all_zero"],
     )
     def test_flat_targets(self, stats_kwargs):
+        # build_scenario's steps, with targets drawn from another prior
+        targets = target_stats_reference(5, seed=2, **stats_kwargs)
+        base_matrix = np.stack([t.values for t in generate_base_traces(30, seed=2)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scenario = build_scenario(30, 5, seed=2, **stats_kwargs)
-        targets = generate_target_stats(5, seed=2, **stats_kwargs)
+            scenario = TrafficScenario(traffic._matched_rows(base_matrix, targets), tuple(targets))
         assert all(t.peak == t.p5 for t in targets)
-        base_matrix = np.stack([t.values for t in generate_base_traces(30, seed=2)])
         np.testing.assert_array_equal(scenario.rate_matrix, scan_reference(base_matrix, targets))
 
 
@@ -482,7 +482,7 @@ class TestMatcherEqualsScan:
     def test_constant_rows_and_clipping_targets(self):
         bases = np.stack([t.values for t in generate_base_traces(20, seed=5)])
         base_matrix = np.insert(bases, [0, 7, 20], np.full(HOURS_PER_WEEK, 1.5), axis=0)
-        targets = generate_target_stats(30, seed=5, p5_ratio_range=(0.0, 0.0))
+        targets = target_stats_reference(30, seed=5, p5_ratio_range=(0.0, 0.0))
         assert all(t.p5 == 0 for t in targets)
         expected = assert_matches_scan(base_matrix, targets)
         assert np.all(expected.min(axis=1) == 0.0)  # p5 = 0: the low hours are clipped
