@@ -207,6 +207,11 @@ def cmd_scenario(args) -> int:
     print(f"scenario: {scenario.n_bs} BSs over {scenario.area_km2} km2")
     print(f"total weekly volume: {rates.sum():.1f} Mbps-hours")
     print(f"per-BS mean load quartiles: {q1:.4f} / {q2:.4f} / {q3:.4f}")
+    # the matcher fits peak and p5; a target mean beyond every base ratio is missed
+    means = np.array([s.mean for s in scenario.stats])
+    miss = np.abs(rates.mean(axis=1) - means) / means
+    print(f"per-BS mean miss |trace - target| / target: p95 {np.percentile(miss, 95):.4f}, "
+          f"max {miss.max():.4f}")
     print(f"written to {out / 'scenario.csv'} and {out / 'scenario_stats.json'}")
     return EXIT_OK
 

@@ -291,131 +291,47 @@ def _scale_rows(
     return np.clip(out, 0.0, None, out=out)
 
 
-def _nearest_by_scan(
-    base_matrix: np.ndarray,
-    p5s: np.ndarray,
-    spans: np.ndarray,
-    usable: np.ndarray,
-    peak: float,
-    p5: float,
-    mean: float,
-) -> int:
-    """The usable row whose scaled mean is nearest mean, found by scaling every row."""
-    scaled = _scale_rows(base_matrix, p5s, spans, peak, p5, np.empty_like(base_matrix))
-    dev = np.abs(scaled.mean(axis=1) - mean)
-    dev[~usable] = np.inf
-    return int(np.argmin(dev))  # argmin keeps the lowest index on ties
-
-
-# Each of _nearest_by_ratio's estimates is within _MARGIN*168*W*(3*g + P/W + rho) of the
-# scan's 168 times a base's deviation under a target (peak, P, mean), where W = peak - P,
-# rho = (mean - P)/W, and the base has row sum S, 5th percentile p, span s, g = S/168/s and
-# ratio r = g - p/s.  At least 160 of the 168 values lie at or above p, so p/s <= 1.05*g
-# and |r| <= g.  The scan's 168 terms a*v + b, with a = W/s and |b| <= a*p + P, err in their
-# sum by less than 700 units of 2**-53 of a*S + 168*mean = 168*W*(g + P/W + rho), as does
-# the closed form a*S + 168*b; 168*W*|r - rho| adds about 10 units of 3*g + P/W + rho for
-# the roundings of r and rho.  2**-40 is 8192 units, more than 10 times that, and the slack
-# covers the margin's own roundings.  Each target takes the largest g over the bases.
-_MARGIN = 2.0**-40
-# A base clips under a target only if a*min + b < 0, that is when P/W < (p - min)/s up to
-# the roundings of a, a*p and b, about three units of P/W and of p/s.  The matcher treats
-# a base as one that may clip where P/W <= (p - min + _CLIP_SLACK*p)/s*(1 + _CLIP_SLACK),
-# which covers those and the test's own four roundings with 32 units, and leaves a target
-# under which any base may clip to the scan.
-_CLIP_SLACK = 2.0**-48
-# The bases evaluated on each side of a target's ratio
-_NEIGHBOURS = 1
-
-
 def _matched_rows(base_matrix: np.ndarray, targets: list[BSStats]) -> np.ndarray:
-    """Per target, the scaled base trace whose mean is nearest the target mean.
+    """Per target, the scaled base trace whose ratio is nearest the target's.
 
     Take a base row with 5th percentile p5 and span peak - p5, and a = (target.peak -
     target.p5)/span >= 0.  Its scaled values are a*v + b, clipped at 0, where b =
     target.p5 - a*p5.  While none clips, the scaled mean is target.p5 + (target.peak -
-    target.p5)*r, with r = (mean - p5)/span the row's ratio: the nearest base is the one
-    whose r is nearest rho = (target.mean - target.p5)/(target.peak - target.p5).  So
-    one argsort of the rows' ratios and one searchsorted find, for every target, the
-    nearest base on each side of rho, and those two are evaluated.
+    target.p5)*r, with r = (mean - p5)/span the row's ratio, so the pick is the usable
+    row whose r is nearest rho = (target.mean - target.p5)/(target.peak - target.p5),
+    and 0 for a flat target.  An exact tie of distance goes to the lower ratio, and
+    equal ratios go to the lower row.  One stable argsort of the ratios and one
+    searchsorted of every rho find the neighbours on each side.  A row whose sum
+    overflows has ratio inf: it is picked only if no other row is usable.
 
-    A value v clips only if it lies at or below the cut p5 - span*target.p5/(target.peak
-    - target.p5), so a row clips only if its cut lies above its minimum, that is under a
-    target whose p5 is small next to its width.  An evaluated row's 168 times scaled mean
-    is a*S + 168*b, with S its sum.  Every other row's deviation is at least 168*(peak -
-    p5)*|r - rho| for the nearest ratio r beyond the window.  Each estimate is within one
-    margin per target of the scan's value (_MARGIN derives it), and a pick stands only
-    where its estimate plus that margin is below every other estimate less it, and where
-    no usable row may clip under the target.  _nearest_by_scan decides the rest, exact
-    ties and clipping targets included, so every pick is the scan's.  The margin grows
-    with the largest mean/span over the bases: a near-constant base, which
-    generate_base_traces never makes, sends every target to the scan.
+    A value clips only where a*v + b < 0, so a row can clip only under a target whose
+    target.p5/(target.peak - target.p5) lies below the row's (p5 - min)/span.  Under such
+    a target the pick is still the nearest ratio: the scaled peak and p5 are those of the
+    unclipped fit, and only the mean rises above target.p5 + (target.peak - target.p5)*r.
+    No generated base has been seen to clip: generate_target_stats's smallest p5/(peak -
+    p5) is 0.05/0.95 = 0.0526, and over 200,000 generated bases (p5 - min)/span stayed
+    below 0.032.
     """
     peaks = base_matrix.max(axis=1)
     p5s = np.partition(base_matrix, _P5_RANK, axis=1)[:, _P5_RANK]
-    usable = peaks > p5s
-    if not np.any(usable):
+    rows = np.flatnonzero(peaks > p5s)
+    if not len(rows):
         raise NoCandidateError("all candidate base traces are degenerate")
-    spans = np.where(usable, peaks - p5s, 1.0)  # degenerate rows are never picked
+    p5, span = p5s[rows], peaks[rows] - p5s[rows]
+    with np.errstate(over="ignore"):
+        ratios = (base_matrix.sum(axis=1)[rows] / HOURS_PER_WEEK - p5) / span
     t_peak, t_p5, t_mean = np.array([(t.peak, t.p5, t.mean) for t in targets], dtype=float).T
-    # Magnitudes near the float limit can turn an estimate or a margin into inf or nan,
-    # which fails every comparison that would certify a pick: the scan decides.
-    with np.errstate(over="ignore", invalid="ignore"):
-        pick, certain = _nearest_by_ratio(base_matrix, p5s, spans, usable, t_peak, t_p5, t_mean)
-    for k in np.flatnonzero(~certain):
-        pick[k] = _nearest_by_scan(base_matrix, p5s, spans, usable, t_peak[k], t_p5[k], t_mean[k])
-    rows = base_matrix[pick]
-    return _scale_rows(rows, p5s[pick], spans[pick], t_peak, t_p5, out=rows)
-
-
-def _nearest_by_ratio(
-    base_matrix: np.ndarray,
-    p5s: np.ndarray,
-    spans: np.ndarray,
-    usable: np.ndarray,
-    t_peak: np.ndarray,
-    t_p5: np.ndarray,
-    t_mean: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_matched_rows's search: each target's row, and whether the pick is certain."""
-    rows = np.flatnonzero(usable)
-    n = len(rows)
-    sums = base_matrix.sum(axis=1)[rows]
-    p5, span = p5s[rows], spans[rows]
-    means = sums / HOURS_PER_WEEK
-    ratios = (means - p5) / span
-    mins = base_matrix.min(axis=1)[rows]
-    # a base may clip under a target whose cut slope P/W is at most this
-    clip_slope = np.max((p5 - mins + _CLIP_SLACK * p5) / span * (1 + _CLIP_SLACK))
-    # a flat target (W = 0) keeps every value: its cut slope is inf, its ratio 0
     width = t_peak - t_p5
-    flat = width <= 0
-    cut_slope = np.divide(t_p5, width, out=np.full(width.shape, np.inf), where=~flat)
-    rho = np.divide(t_mean - t_p5, width, out=np.zeros(width.shape), where=~flat)
-    scale = HOURS_PER_WEEK * width
-    margin = _MARGIN * scale * (3 * np.max(means / span) + cut_slope + rho)
+    rho = np.divide(t_mean - t_p5, width, out=np.zeros(width.shape), where=width > 0)
     order = np.argsort(ratios, kind="stable")
-    padded = np.concatenate(([-np.inf], ratios[order], [np.inf]))
-
-    # the window: the _NEIGHBOURS rows on each side of rho, shifted inward at either end
-    w = min(2 * _NEIGHBOURS, n)
-    lo = np.clip(np.searchsorted(padded[1:-1], rho) - _NEIGHBOURS, 0, n - w)
-    window = order[lo[:, None] + np.arange(w)]
-    a = width[:, None] / span[window]
-    b = t_p5[:, None] - a * p5[window]
-    dev = a * sums[window]  # where no value clips, 168 times the scaled mean is a*S + 168*b
-    dev += b * HOURS_PER_WEEK
-    dev -= (HOURS_PER_WEEK * t_mean)[:, None]
-    np.abs(dev, out=dev)
-    each = np.arange(len(width))
-    best = np.argmin(dev, axis=1)  # a nan comes first, and then nothing is certain
-    pick_high = dev[each, best] + margin
-    dev[each, best] = np.inf
-    # the rows beyond the window: padded[lo] and padded[lo + w + 1] are the nearest ratios
-    beyond = scale * np.minimum(rho - padded[lo], padded[lo + w + 1] - rho)
-    others = np.minimum(dev.min(axis=1), beyond) - margin
-    # a target under which some base may clip goes to the scan
-    certain = (pick_high < others) & (width > 0) & (cut_slope > clip_slope)
-    return rows[window[each, best]], certain
+    ranked = ratios[order]
+    above = np.searchsorted(ranked, rho)
+    below = np.maximum(above - 1, 0)
+    above = np.minimum(above, len(ranked) - 1)  # at either end both are the end row
+    slot = np.where(ranked[above] - rho < rho - ranked[below], above, below)
+    first = order[np.searchsorted(ranked, ranked[slot])]  # the lowest row of equal ratios
+    matched = base_matrix[rows[first]]
+    return _scale_rows(matched, p5[first], span[first], t_peak, t_p5, out=matched)
 
 
 def build_scenario(

@@ -86,11 +86,14 @@ class TestScenarioCommand:
             assert (tmp_path / name).read_bytes() == (Path(scenario_dir) / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "name, config", [("tiny", TINY_CONFIG), ("default-seed42", "[scenario]\nseed = 42\n")]
+        "name, config",
+        [("tiny", TINY_CONFIG)]
+        + [(f"default-seed{seed}", f"[scenario]\nseed = {seed}\n") for seed in (42, 1, 3)],
     )
     def test_bytes_match_the_pinned_digests(self, tmp_path, name, config):
         # tests/data/scenario.sha256 holds each file's digest under <name>/scenario/, in
-        # sha256sum's format; CI checks the tiny entries with sha256sum -c as well
+        # sha256sum's format; CI checks every entry with sha256sum -c as well.  Seeds 1
+        # and 3 put the most targets above the largest base ratio, at the end of its order
         cfg = tmp_path / "config.ini"
         cfg.write_text(config)
         out = tmp_path / name / "scenario"
@@ -100,6 +103,18 @@ class TestScenarioCommand:
         for file in ("scenario.csv", "scenario_stats.json"):
             digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
             assert digest == pinned[f"{name}/scenario/{file}"], file
+
+    def test_reports_the_mean_miss(self, config_file, tmp_path, capsys):
+        # recomputed from the written files: each trace's mean against its sidecar mean
+        assert main(["scenario", "--config", config_file, "--out", str(tmp_path)]) == 0
+        rates = np.loadtxt(tmp_path / "scenario.csv", delimiter=",", skiprows=1)[:, 2]
+        sidecar = json.loads((tmp_path / "scenario_stats.json").read_text())
+        means = np.array([s["mean"] for s in sidecar["stats"]])
+        miss = np.abs(rates.reshape(len(means), -1).mean(axis=1) - means) / means
+        p95, worst = np.percentile(miss, 95), miss.max()
+        assert 0 < p95 <= worst
+        line = f"per-BS mean miss |trace - target| / target: p95 {p95:.4f}, max {worst:.4f}"
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_never_sorts_hours(self, config_file, tmp_path, monkeypatch):
         # the hour order serves the trials only; building a scenario must not pay for it

@@ -4,7 +4,6 @@ import json
 import math
 import tempfile
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +37,8 @@ def percentile_nearest_rank(values, fraction):
 
 
 def match_trace(bases, target):
-    """Pick the scaled base trace whose mean is nearest the target mean: build_scenario's
-    matcher for one target."""
+    """Pick the base trace whose ratio (mean - p5)/span is nearest the target's, scaled
+    onto the target: build_scenario's matcher for one target."""
     if not bases:
         raise NoCandidateError("no base traces supplied")
     return WeeklyTrace(traffic._matched_rows(np.stack([t.values for t in bases]), [target])[0])
@@ -114,25 +113,53 @@ def target_stats_reference(
     return out
 
 
-def count_scans(monkeypatch):
-    """Record the row that each call of the matcher's exhaustive-scan fallback picks."""
+def _ratios(base_matrix):
+    """Each row's (mean - p5) / span, by _matched_rows's float expressions; while nothing
+    clips, a target's scaled mean lies this fraction of the way from its p5 to its peak.
+    A row whose sum overflows has ratio inf, and a constant row's ratio is meaningless."""
+    peaks = base_matrix.max(axis=1)
+    p5s = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
+    with np.errstate(over="ignore"):
+        return (base_matrix.sum(axis=1) / HOURS_PER_WEEK - p5s) / np.where(peaks > p5s, peaks - p5s, 1.0)
+
+
+def two_point_fit(row, target):
+    """row mapped affinely onto target's p5 and peak, as scan_reference maps it."""
+    p5 = percentile_nearest_rank(row, 0.05)
+    a = (target.peak - target.p5) / (row.max() - p5)
+    return a * row + (target.p5 - a * p5)
+
+
+def scaled(row, target):
+    """row's two-point fit to target, clipped at 0."""
+    return np.clip(two_point_fit(row, target), 0.0, None)
+
+
+def nearest_ratio_rows(base_matrix, targets):
+    """By brute force, per target, the usable row with the least (|r - rho|, r, index)."""
+    ratios = _ratios(base_matrix)
+    p5s = [percentile_nearest_rank(row, 0.05) for row in base_matrix]
+    usable = np.flatnonzero(base_matrix.max(axis=1) > p5s)
     picks = []
-    scan = traffic._nearest_by_scan
-
-    def counting(*args):
-        picks.append(scan(*args))
-        return picks[-1]
-
-    monkeypatch.setattr(traffic, "_nearest_by_scan", counting)
+    for t in targets:
+        width = t.peak - t.p5
+        rho = (t.mean - t.p5) / width if width > 0 else 0.0
+        picks.append(min((abs(ratios[i] - rho), ratios[i], i) for i in usable)[2])
     return picks
 
 
-def assert_matches_scan(base_matrix, targets):
-    """_matched_rows gives scan_reference's rows, bit for bit, and warns of nothing."""
+def ratio_reference(base_matrix, targets):
+    """Each target's nearest-ratio row, scaled onto it."""
+    picks = nearest_ratio_rows(base_matrix, targets)
+    return np.array([scaled(base_matrix[k], t) for k, t in zip(picks, targets)])
+
+
+def assert_matches(reference, base_matrix, targets):
+    """_matched_rows gives the reference's rows, bit for bit, and warns of nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = traffic._matched_rows(base_matrix, targets)
-    expected = scan_reference(base_matrix, targets)
+    expected = reference(base_matrix, targets)
     assert np.array_equal(rows, expected)
     return expected
 
@@ -436,7 +463,7 @@ def _matcher_cases(draw):
             rows.append(rows[rng.integers(len(rows))])
         elif kind == "constant":
             rows.append(np.full(HOURS_PER_WEEK, rng.uniform(0.0, 10.0)))
-        elif kind == "huge":  # its sum overflows: the scan must decide, without a warning
+        elif kind == "huge":  # its sum overflows: ratio inf, and no warning
             rows.append(rng.uniform(0.0, 1.0, HOURS_PER_WEEK) * 1e308)
         else:  # a span of about 1e-9 of the level
             level = rng.uniform(1.0, 1e3)
@@ -448,85 +475,138 @@ def _bases(n, seed):
     return np.stack([t.values for t in generate_base_traces(n, seed=seed)])
 
 
-def _ratios(base_matrix):
-    """Each row's (mean - p5) / span: while nothing clips, a target's scaled mean lies
-    this fraction of the way from its p5 to its peak."""
-    p5 = np.array([percentile_nearest_rank(row, 0.05) for row in base_matrix])
-    return (base_matrix.mean(axis=1) - p5) / (base_matrix.max(axis=1) - p5)
+def _unit_target(rho):
+    """A target whose ratio is rho itself: p5 0 and peak 1 make (mean - p5)/(peak - p5) = mean."""
+    return BSStats(peak=1.0, p5=0.0, mean=rho, capacity=2.0, max_load=1.0)
+
+
+def assert_clipped_fit(row, base, target, ratio):
+    """row, base scaled onto target, has clipped values: its peak and p5 are those of the
+    unclipped two-point fit, and only its mean rose above p5 + (peak - p5) * ratio."""
+    fit = two_point_fit(base, target)
+    assert fit.min() < 0 and row.min() == 0
+    assert row.max() == fit.max() == pytest.approx(target.peak, rel=1e-12)
+    p5_row = percentile_nearest_rank(row, 0.05)
+    assert p5_row == percentile_nearest_rank(fit, 0.05) == pytest.approx(target.p5, rel=1e-12)
+    assert row.mean() > target.p5 + (target.peak - target.p5) * ratio
 
 
 class TestMatcherEqualsScan:
-    """_matched_rows returns the exhaustive scan's rows, bit for bit."""
+    """On these inputs no clipping reorders the scaled means and no two ratios lie within
+    rounding of each other, so the nearest ratio is also the exhaustive scan's pick, and
+    scan_reference stays the oracle."""
 
-    @given(_matcher_cases())
-    @settings(max_examples=80, deadline=None)
-    def test_drawn_cases(self, case):
-        assert_matches_scan(*case)
-
-    def test_clear_picks_skip_the_scan(self, monkeypatch):
-        picks = count_scans(monkeypatch)
-        base_matrix = np.stack([t.values for t in generate_base_traces(60, seed=11)])
-        targets = generate_target_stats(40, seed=11)
-        assert_matches_scan(base_matrix, targets)
-        assert picks == []
-
-    def test_duplicate_rows_tie_to_the_lower_index(self, monkeypatch):
-        picks = count_scans(monkeypatch)
+    def test_duplicate_rows_tie_to_the_lower_index(self):
+        # equal rows scale to equal traces, so which one is picked does not show here;
+        # TestMatcherIsNearestRatio's reordered rows show it
         base_matrix = np.stack([t.values for t in generate_base_traces(5, seed=3)])
         base_matrix = np.vstack([base_matrix, base_matrix])  # row i + 5 equals row i
         targets = generate_target_stats(20, seed=3)
-        assert_matches_scan(base_matrix, targets)
-        # an exact tie cannot be certified, and the scan keeps the lower row
-        assert len(picks) == len(targets) and max(picks) < 5
+        assert_matches(scan_reference, base_matrix, targets)
 
     def test_constant_rows_and_clipping_targets(self):
         bases = np.stack([t.values for t in generate_base_traces(20, seed=5)])
         base_matrix = np.insert(bases, [0, 7, 20], np.full(HOURS_PER_WEEK, 1.5), axis=0)
         targets = target_stats_reference(30, seed=5, p5_ratio_range=(0.0, 0.0))
         assert all(t.p5 == 0 for t in targets)
-        expected = assert_matches_scan(base_matrix, targets)
+        expected = assert_matches(scan_reference, base_matrix, targets)
         assert np.all(expected.min(axis=1) == 0.0)  # p5 = 0: the low hours are clipped
 
-    def test_near_degenerate_base_takes_the_scan(self, monkeypatch):
-        # shape and level * (1 + 1e-9 * shape/max) scale to the same trace in exact
-        # arithmetic; in floating point the second one's scaling cancels about 9 digits
-        picks = count_scans(monkeypatch)
-        shape = generate_base_traces(1, seed=4)[0].values
-        base_matrix = np.stack([shape, 100.0 * (1.0 + 1e-9 * shape / shape.max())])
-        targets = generate_target_stats(5, seed=4)
-        assert_matches_scan(base_matrix, targets)
-        assert len(picks) == len(targets)
-
-    def test_near_tie_takes_the_scan(self, monkeypatch):
-        # two rows whose scaled means differ by about 6e-14 of their size: too close to
-        # certify, but far enough apart that the scan picks the higher mean every time
-        picks = count_scans(monkeypatch)
-        shape = generate_base_traces(1, seed=6)[0].values
-        bumped = shape.copy()
-        k = np.argsort(shape)[HOURS_PER_WEEK // 2]  # neither the peak nor the 5th percentile
-        bumped[k] *= 1.0 + 1e-11
-        base_matrix = np.stack([shape, bumped])
-        targets = [_target(peak, 0.2, 0.9) for peak in (1.0, 30.0, 500.0)]
-        assert all(t.mean > scale_trace(WeeklyTrace(bumped), t).mean for t in targets)
-        assert_matches_scan(base_matrix, targets)
-        assert picks == [1] * len(targets)
-
-    def test_ratios_beyond_the_bases_take_no_scan(self, monkeypatch):
-        # at either end of the ratio order the window shifts inward, so the pick is never
-        # evaluated twice and counted as its own competitor
-        picks = count_scans(monkeypatch)
+    def test_ratios_beyond_the_bases_take_no_scan(self):
+        # at either end of the ratio order both neighbours are the end row
         base_matrix = _bases(50, seed=8)
         ratios = _ratios(base_matrix)
         fracs = (0.0, 0.001, 0.999, 1.0)
         targets = [_target(peak, 0.3, frac) for peak in (2.0, 40.0, 300.0) for frac in fracs]
         assert max(fracs[:2]) < ratios.min() and ratios.max() < min(fracs[2:])
-        assert_matches_scan(base_matrix, targets)
-        assert picks == []
+        rows = assert_matches(scan_reference, base_matrix, targets)
+        ends = [np.argmin(ratios)] * 2 + [np.argmax(ratios)] * 2
+        for row, target, end in zip(rows, targets, ends * 3):
+            assert np.array_equal(row, scaled(base_matrix[end], target))
 
-    def test_cluster_wider_than_the_window_takes_the_scan(self, monkeypatch):
-        # one shape at twelve levels: their ratios and scaled means agree up to rounding,
-        # so the rows outside the evaluated window may beat its pick
-        picks = count_scans(monkeypatch)
+    def test_flat_and_zero_p5_targets_among_others(self):
+        base_matrix = _bases(40, seed=12)
+        ordinary = generate_target_stats(12, seed=12)
+        flat = [_target(0.5, 1.0, 0.5), BSStats(0, 0, 0, 1, 1), _target(20.0, 1.0, 0.5)]
+        zero_p5 = [_target(3.0, 0.0, 0.2), _target(50.0, 0.0, 0.45)]
+        targets = ordinary[:4] + flat[:2] + ordinary[4:8] + zero_p5 + flat[2:] + ordinary[8:]
+        assert_matches(scan_reference, base_matrix, targets)
+
+    # the last is the default scenario's scale and seed
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(300, 200, 0), (300, 200, 1), (300, 200, 2), (1419, 960, 42)],
+        ids=["0", "1", "2", "1419-960-42"],
+    )
+    def test_moderate_scale_takes_no_scan(self, n, m, seed):
+        assert_matches(scan_reference, _bases(n, seed), generate_target_stats(m, seed))
+
+
+class TestMatcherIsNearestRatio:
+    """_matched_rows picks, per target, the usable row whose ratio (mean - p5)/span is
+    nearest the target's (mean - p5)/(peak - p5): an exact tie of distance goes to the
+    lower ratio, and equal ratios go to the lower row."""
+
+    @given(_matcher_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_cases(self, case):
+        assert_matches(ratio_reference, *case)
+
+    def test_equal_ratios_go_to_the_lowest_row(self):
+        # Rows 3, 6 and 8 hold the same whole numbers in different hour orders: every sum
+        # is exact, so their ratios are equal to the bit, while their scaled traces differ
+        # and show which row is picked.  A target at the shared ratio or just below it
+        # takes the neighbour above; one just above it takes the neighbour below, the last
+        # of the three in ratio order.
+        rng = np.random.default_rng(16)
+        values = np.round(1000.0 * _bases(1, seed=16)[0])
+        base_matrix = _bases(10, seed=16)
+        for k in (3, 6, 8):
+            base_matrix[k] = rng.permutation(values)
+        ratios = _ratios(base_matrix)
+        tied = ratios[3]
+        assert np.flatnonzero(ratios == tied).tolist() == [3, 6, 8]
+        targets = [_unit_target(rho) for rho in (np.nextafter(tied, 0), tied, np.nextafter(tied, 1))]
+        rows = assert_matches(ratio_reference, base_matrix, targets)
+        for row, target in zip(rows, targets):
+            assert np.array_equal(row, scaled(base_matrix[3], target))
+            assert not any(np.array_equal(row, scaled(base_matrix[k], target)) for k in (6, 8))
+
+    def test_an_exact_midpoint_goes_to_the_lower_ratio(self):
+        # the first neighbours in ratio order whose float midpoint is exact: a target
+        # there is as far from either, and takes the lower ratio
+        base_matrix = _bases(100, seed=17)
+        ratios = _ratios(base_matrix)
+        order = np.argsort(ratios)
+        pairs = [(lo, hi, (ratios[lo] + ratios[hi]) / 2) for lo, hi in zip(order, order[1:])]
+        lo, hi, mid = next(p for p in pairs if p[2] - ratios[p[0]] == ratios[p[1]] - p[2])
+        target = _unit_target(mid)
+        rho = (target.mean - target.p5) / (target.peak - target.p5)
+        assert ratios[lo] < rho < ratios[hi] and rho - ratios[lo] == ratios[hi] - rho
+        (row,) = assert_matches(ratio_reference, base_matrix, [target])
+        assert np.array_equal(row, scaled(base_matrix[lo], target))
+        assert not np.array_equal(row, scaled(base_matrix[hi], target))
+
+    def test_near_tie_goes_to_the_nearer_ratio(self):
+        # two rows whose ratios differ by about 2.6e-14, both below every target's: the
+        # higher, nearer one is picked every time
+        shape = generate_base_traces(1, seed=6)[0].values
+        bumped = shape.copy()
+        k = np.argsort(shape)[HOURS_PER_WEEK // 2]  # neither the peak nor the 5th percentile
+        bumped[k] *= 1.0 + 1e-11
+        base_matrix = np.stack([shape, bumped])
+        ratios = _ratios(base_matrix)
+        targets = [_target(peak, 0.2, 0.9) for peak in (1.0, 30.0, 500.0)]
+        assert ratios[0] < ratios[1] < min((t.mean - t.p5) / (t.peak - t.p5) for t in targets)
+        rows = assert_matches(ratio_reference, base_matrix, targets)
+        for row, target in zip(rows, targets):
+            assert np.array_equal(row, scaled(bumped, target))
+
+    def test_cluster_is_decided_by_float_ratios(self):
+        # One shape at twelve levels: in exact arithmetic their ratios are equal, in
+        # floats they spread over a few units of 1e-16.  The pick among them is the nearest
+        # float ratio and then the lowest row, where the scan's, decided by rounding in the
+        # scaled means, is another row for most of these targets.
         shape = generate_base_traces(1, seed=9)[0].values
         cluster = np.random.default_rng(9).uniform(0.5, 2.0, 12)[:, None] * shape
         assert np.ptp(_ratios(cluster)) < 1e-14
@@ -534,14 +614,30 @@ class TestMatcherEqualsScan:
         r = _ratios(shape[None])[0]
         fracs = (0.999 * r, r, 1.001 * r)
         targets = [_target(peak, 0.3, frac) for peak in (1.0, 7.0, 90.0) for frac in fracs]
-        assert_matches_scan(base_matrix, targets)
-        assert len(picks) == len(targets)
+        expected = assert_matches(ratio_reference, base_matrix, targets)
+        picks = nearest_ratio_rows(base_matrix, targets)
+        # base 0 is the shape itself, with ratio r; those below r take the cluster's lowest
+        # ratio, those above its highest
+        ratios = _ratios(base_matrix)
+        assert {ratios[k] for k in picks[::3]} == {ratios[30:].min()}
+        assert {ratios[k] for k in picks[2::3]} == {ratios[30:].max()}
+        assert not np.array_equal(expected, scan_reference(base_matrix, targets))
 
-    def test_neighbour_beyond_a_clipping_row_is_evaluated(self, monkeypatch):
+    def test_near_degenerate_base_is_picked_by_its_float_ratio(self):
+        # shape and level * (1 + 1e-9 * shape/max) have one ratio in exact arithmetic; in
+        # floats the second one's cancels about 9 digits.  Its float ratio decides, which
+        # for some targets is not the scan's pick.
+        shape = generate_base_traces(1, seed=4)[0].values
+        base_matrix = np.stack([shape, 100.0 * (1.0 + 1e-9 * shape / shape.max())])
+        targets = generate_target_stats(5, seed=4)
+        expected = assert_matches(ratio_reference, base_matrix, targets)
+        assert set(nearest_ratio_rows(base_matrix, targets)) == {0, 1}
+        assert not np.array_equal(expected, scan_reference(base_matrix, targets))
+
+    def test_a_clipping_row_is_picked_by_its_ratio(self):
         # The row nearest the target's ratio clips under it, which lifts its scaled mean
-        # well past the target's: the pick is the nearest row on the other side.  A
-        # target under which a row may clip is the scan's to decide, once.
-        picks = count_scans(monkeypatch)
+        # past the target's: the scan would take the nearest row on the other side, but
+        # the pick is the nearest ratio, whose scaled peak and p5 clipping leaves as they are.
         rows = _bases(40, seed=15)
         ratios = _ratios(rows)
         order = np.argsort(ratios)
@@ -555,15 +651,18 @@ class TestMatcherEqualsScan:
         clipper[np.argsort(clipper)[: traffic._P5_RANK]] = 0.0
         base_matrix = np.vstack([rows[np.abs(ratios - ratios[pick]) > 0.03], clipper, rows[pick]])
         rho = ratios[pick] - 0.006
-        assert rho - _ratios(clipper[None])[0] < ratios[pick] - rho  # the clipper is nearer
+        r_clipper = _ratios(clipper[None])[0]
+        assert rho - r_clipper < ratios[pick] - rho  # the clipper is nearer
         target = _target(50.0, 1 / 6, rho)  # target.p5 = (target.peak - target.p5) / 5
-        expected = assert_matches_scan(base_matrix, [target])
-        assert np.array_equal(expected, scan_reference(rows[pick][None], [target]))
-        assert picks == [len(base_matrix) - 1]
+        (row,) = assert_matches(ratio_reference, base_matrix, [target])
+        assert np.array_equal(row, scaled(clipper, target))
+        assert np.array_equal(scan_reference(base_matrix, [target])[0], scaled(rows[pick], target))
+        assert_clipped_fit(row, clipper, target, r_clipper)
 
     def test_rows_clip_under_some_targets_only(self):
         # raised floors with a trough of zeros below the 5th percentile: a row clips
-        # under the targets whose p5 / (peak - p5) lies below its (p5 - min) / span
+        # under the targets whose p5 / (peak - p5) lies below its (p5 - min) / span, and
+        # the pick is still the nearest ratio
         rng = np.random.default_rng(10)
         base_matrix = _bases(40, seed=10)
         floors = rng.uniform(0.0, 1.5, (20, 1)) * np.ptp(base_matrix[::2], axis=1, keepdims=True)
@@ -575,68 +674,24 @@ class TestMatcherEqualsScan:
         clip_slope = (p5 - base_matrix.min(axis=1)) / (base_matrix.max(axis=1) - p5)
         cut_slope = np.array([t.p5 / (t.peak - t.p5) for t in targets])
         assert np.any((cut_slope.min() < clip_slope) & (clip_slope < cut_slope.max()))
-        expected = assert_matches_scan(base_matrix, targets)
-        assert 0 < np.count_nonzero(expected.min(axis=1) == 0) < len(targets)
-
-    def test_flat_and_zero_p5_targets_among_others(self):
-        base_matrix = _bases(40, seed=12)
-        ordinary = generate_target_stats(12, seed=12)
-        flat = [_target(0.5, 1.0, 0.5), BSStats(0, 0, 0, 1, 1), _target(20.0, 1.0, 0.5)]
-        zero_p5 = [_target(3.0, 0.0, 0.2), _target(50.0, 0.0, 0.45)]
-        targets = ordinary[:4] + flat[:2] + ordinary[4:8] + zero_p5 + flat[2:] + ordinary[8:]
-        assert_matches_scan(base_matrix, targets)
+        expected = assert_matches(ratio_reference, base_matrix, targets)
+        clipped = np.flatnonzero(expected.min(axis=1) == 0)
+        assert 0 < len(clipped) < len(targets)
+        ratios = _ratios(base_matrix)
+        picks = nearest_ratio_rows(base_matrix, targets)
+        for i in clipped:
+            assert_clipped_fit(expected[i], base_matrix[picks[i]], targets[i], ratios[picks[i]])
 
     def test_huge_row(self):
-        # its sum overflows, and with it its ratio and margin: the scan decides
+        # its sum overflows, so its ratio is inf and it is never picked, although under
+        # one of these targets its scaled mean is the nearest
         huge = np.random.default_rng(13).uniform(0.0, 1.0, HOURS_PER_WEEK) * 1e308
         base_matrix = np.insert(_bases(30, seed=13), 11, huge, axis=0)
-        assert_matches_scan(base_matrix, generate_target_stats(20, seed=13))
-
-    # the last is the default scenario's scale and seed
-    @pytest.mark.parametrize(
-        "n, m, seed",
-        [(300, 200, 0), (300, 200, 1), (300, 200, 2), (1419, 960, 42)],
-        ids=["0", "1", "2", "1419-960-42"],
-    )
-    def test_moderate_scale_takes_no_scan(self, monkeypatch, n, m, seed):
-        picks = count_scans(monkeypatch)
-        assert_matches_scan(_bases(n, seed), generate_target_stats(m, seed))
-        assert picks == []
-
-    def test_margin_is_sound(self):
-        # On rows that do not clip, both of _nearest_by_ratio's estimates, the closed form
-        # a*S + 168*b and 168*W*|r - rho|, are within the margin of the scan's 168 times
-        # |scaled mean - mean|, over row scales 2**-30 to 2**30 and target floors 1e-8 to 1e6.
-        rng = np.random.default_rng(14)
-        checked = 0
-        for _ in range(2000):
-            row = rng.uniform(0.5, 2.0, HOURS_PER_WEEK) * 2.0 ** rng.integers(-30, 31)
-            p5 = np.partition(row, traffic._P5_RANK)[traffic._P5_RANK : traffic._P5_RANK + 1]
-            span = np.max(row, keepdims=True) - p5
-            total = np.sum(row)
-            mean_row = total / HOURS_PER_WEEK
-            ratio = (mean_row - p5[0]) / span[0]
-            floor = 10.0 ** rng.uniform(-8, 6)
-            peak = floor + floor * 10.0 ** rng.uniform(-3, 1.3)
-            frac = min(ratio * rng.uniform(0.2, 1.8), 1.0)
-            mean = min(floor + (peak - floor) * frac, peak)
-            width = peak - floor
-            rho = (mean - floor) / width
-            scale = HOURS_PER_WEEK * width
-            g = mean_row / span[0]
-            margin = traffic._MARGIN * scale * (3 * g + floor / width + rho)
-            scaled = traffic._scale_rows(row[None], p5, span, peak, floor, np.empty_like(row[None]))
-            if scaled.min() == 0:
-                continue  # a value clips
-            scan = HOURS_PER_WEEK * abs(Fraction(float(scaled.mean(axis=1)[0])) - Fraction(mean))
-            a = width / span[0]  # the matcher's a and b, and its closed form
-            b = floor - a * p5[0]
-            closed = abs(a * total + b * HOURS_PER_WEEK - HOURS_PER_WEEK * mean)
-            by_ratio = scale * abs(ratio - rho)
-            for estimate in (closed, by_ratio):
-                assert abs(Fraction(float(estimate)) - scan) <= Fraction(float(margin))
-            checked += 1
-        assert checked > 1000
+        targets = generate_target_stats(20, seed=13)
+        assert_matches(ratio_reference, base_matrix, targets)
+        assert 11 not in nearest_ratio_rows(base_matrix, targets)
+        scan = scan_reference(base_matrix, targets)
+        assert any(np.array_equal(row, scaled(huge, t)) for row, t in zip(scan, targets))
 
 
 class TestTrafficScenario:
