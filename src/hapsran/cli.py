@@ -41,6 +41,9 @@ ENV_PREFIX = "HAPSRAN"
 
 # the CLI's own defaults; every other unset setting keeps the default of what it feeds
 _SCENARIO_DEFAULTS = {"n_bases": 1419, "m_targets": 960, "seed": 42}
+# run_study keeps each trial's result until the writers run: six (168,) arrays and the
+# record, which tracemalloc puts at about 9.1 kB; rounded up
+_RESULT_BYTES = 9 * 1024
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -151,14 +154,20 @@ def _study_config(args) -> StudyConfig:
         n_workers=args.threads,
         **settings,
     )
-    # a trial holds about 64 bytes per UE, and up to n_workers trials run at once; the
+    # a trial holds about 64 bytes per UE, and up to study.workers trials run at once; the
     # product is taken in float, so that an overflow reads inf
-    density, area = study.ue_density_per_km2, study.scenario.area_km2
-    workers = min(study.n_workers, study.n_trials)
+    density, area, workers = study.ue_density_per_km2, study.scenario.area_km2, study.workers
+    ue_need = density * float(area) * 64.0 * workers
     _require_memory(
-        density * float(area) * 64.0 * workers,
+        ue_need,
         f"bad [study] ue_density_per_km2 (or {_env_key('study', 'ue_density_per_km2')}): "
         f"{density} UEs per km2 over the scenario's area_km2 of {area} km2 on {workers} worker(s)",
+    )
+    # the results of all trials are held beside the UEs of the running ones
+    _require_memory(
+        ue_need + float(study.n_trials) * _RESULT_BYTES,
+        f"bad [study] trials (or --trials): the results of {study.n_trials} trials, "
+        f"{_RESULT_BYTES} bytes each, beside the UEs of {workers} worker(s)",
     )
     return study
 
@@ -316,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[run_common], help="execute the Monte Carlo study")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--trials", type=int, help="override trial count")
-    p_run.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker pool size, capped at the CPU count; outputs do not depend on it")
     p_run.add_argument("--export-schedule", action="store_true",
                        help="also dump trial 0's hour/BS schedule CSV")
     p_run.set_defaults(func=cmd_run)

@@ -108,18 +108,12 @@ def path_loss_db(
     bucket's clutter and shadow fading per LOS state, and entry loss indoors."""
     idx = tables.bucket_index(pop.elevation_deg)
     d = slant_range_km(params.haps_height_km, pop.elevation_deg)
-    los = np.asarray(pop.los, dtype=bool).view(np.uint8)
-
-    def per_ue(nlos_table, los_table) -> np.ndarray:
-        """Each UE's entry of the bucket for its LOS state: a 2-entry take on 0/1 flags."""
-        # the flags are in range, so clip only skips take's per-index bounds check
-        return np.take(np.array([nlos_table[idx], los_table[idx]], dtype=float), los, mode="clip")
-
-    # each term is added in place, as in fspl + clutter + sigma * draw + entry loss
-    pl = per_ue(tables.clutter_nlos, tables.clutter_los)
+    # each term is added in place, as in fspl + clutter + sigma * draw + entry loss; the
+    # float() keeps a table's JSON ints from making an int array that cannot take them
+    pl = np.where(pop.los, float(tables.clutter_los[idx]), float(tables.clutter_nlos[idx]))
     pl += fspl_db(d, params.f_c_ghz)
     if use_shadow_fading:
-        sigma = per_ue(tables.sf_sigma_nlos, tables.sf_sigma_los)
+        sigma = np.where(pop.los, float(tables.sf_sigma_los[idx]), float(tables.sf_sigma_nlos[idx]))
         sigma *= pop.sf_draw
         pl += sigma
     if use_building_entry_loss:
@@ -128,10 +122,9 @@ def path_loss_db(
             ("thermally_efficient", pop.indoor & ~pop.traditional),
         ):
             ues = np.flatnonzero(in_class)  # one index array serves the gather and the scatter
-            if ues.size:
-                pl[ues] += building_entry_loss_db(
-                    tables.bel[cls], params.f_c_ghz, pop.elevation_deg, pop.bel_p[ues]
-                )
+            pl[ues] += building_entry_loss_db(
+                tables.bel[cls], params.f_c_ghz, pop.elevation_deg, pop.bel_p[ues]
+            )
     return pl
 
 

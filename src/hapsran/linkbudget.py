@@ -99,19 +99,17 @@ def _ndtri(p) -> np.ndarray:
     x += y
     x *= _SQRT_2PI
     tail = np.flatnonzero((flat <= _EXP_M2) | (flat > 1 - _EXP_M2))
-    if tail.size:
-        pt = flat[tail]
-        s = np.log(np.minimum(pt, 1 - pt))
-        s *= -2.0
-        np.sqrt(s, out=s)
-        z = 1 / s
-        x1 = _rational(z, _NDTRI_P1, _NDTRI_Q1)
-        far = np.flatnonzero(s >= 8)
-        if far.size:
-            x1[far] = _rational(z[far], _NDTRI_P2, _NDTRI_Q2)
-        xt = s - np.log(s) / s
-        xt -= x1
-        x[tail] = np.copysign(xt, pt - 0.5)
+    pt = flat[tail]
+    s = np.log(np.minimum(pt, 1 - pt))
+    s *= -2.0
+    np.sqrt(s, out=s)
+    z = 1 / s
+    x1 = _rational(z, _NDTRI_P1, _NDTRI_Q1)
+    far = np.flatnonzero(s >= 8)
+    x1[far] = _rational(z[far], _NDTRI_P2, _NDTRI_Q2)
+    xt = s - np.log(s) / s
+    xt -= x1
+    x[tail] = np.copysign(xt, pt - 0.5)
     return x.reshape(p.shape)
 
 

@@ -10,6 +10,7 @@ independent, order-insensitive and safe to run in parallel.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -89,6 +90,12 @@ class StudyConfig:
             raise InvalidArgumentError(
                 f"a full-load week of {n} BSs overflows: the [energy] settings are too large ({e})"
             )
+
+    @property
+    def workers(self) -> int:
+        """How many trials run at once: n_workers, capped by n_trials and by the machine's
+        CPU count.  No result depends on it."""
+        return min(self.n_workers, self.n_trials, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -171,15 +178,17 @@ def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> Trial
 def run_study(study: StudyConfig) -> list[TrialResult]:
     """Execute all trials; results are identical for any worker count.
 
-    One worker runs the trials inline; more share a thread pool.
+    With study.workers at 1 the trials run inline; otherwise they share a thread pool of
+    that size.
     """
 
     def one(idx: int) -> TrialResult:
         return run_trial(study, sample_trial_config(study, idx), idx)
 
-    if study.n_workers == 1:
+    workers = study.workers
+    if workers == 1:
         return [one(idx) for idx in range(study.n_trials)]
-    with ThreadPoolExecutor(max_workers=study.n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         # One worker builds the hour order before any trial starts: from Python 3.12 on,
         # cached_property takes no lock, so every worker that read a fresh scenario's hour
         # order first could sort the hours again.  Built in the main thread instead, its

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -393,19 +393,9 @@ def save_scenario(scenario: TrafficScenario, csv_path: str | Path, stats_path: s
     """Write the trace CSV (bs_id,hour,rate_mbps) and the JSON stats sidecar."""
     blocks = ((i, (row,)) for i, row in enumerate(scenario.rate_matrix))
     write_csv_grid(csv_path, _SCENARIO_COLUMNS, blocks)
-    # the bytes json.dumps(sidecar, indent=2) + "\n" would write, one %-template per BS:
-    # json writes a float as its repr and an int as its digits, which %r does for exactly
-    # those two types
-    head = (scenario.area_km2, scenario.n_bs)
-    entries = [tuple(vars(s).values()) for s in scenario.stats]
-    if any(type(v) not in (float, int) for e in (head, *entries) for v in e):
-        # json's own rendering of any other number type, or its TypeError
-        head, entries = json.loads(json.dumps([head, entries]))
-    entry = "    {\n" + ",\n".join(f'      "{f.name}": %r' for f in fields(BSStats)) + "\n    }"
-    with Path(stats_path).open("w") as fh:
-        fh.write('{\n  "area_km2": %r,\n  "n_bs": %r,\n  "stats": [\n' % tuple(head))
-        fh.write(",\n".join(entry % tuple(e) for e in entries))
-        fh.write("\n  ]\n}\n")
+    sidecar = {"area_km2": scenario.area_km2, "n_bs": scenario.n_bs,
+               "stats": [vars(s) for s in scenario.stats]}
+    Path(stats_path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def _rows(text: bytes) -> np.ndarray:

@@ -450,13 +450,24 @@ class TestScenarioMemory:
     def test_ue_population_beyond_physical_memory_exits_2(
         self, workdir, monkeypatch, density, threads
     ):
-        # 21,000 UEs, or 9000 on each of two workers, at 64 bytes each exceed 1 MiB
+        # 21,000 UEs, or 9000 on each of two workers, at 64 bytes each exceed 1 MiB; two
+        # CPUs let two workers run
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("HAPSRAN_STUDY_UE_DENSITY_PER_KM2", density)
         out = fresh_out(workdir)
         code, trials, err = run_main(run_argv(workdir, out, "--threads", threads))
         assert (code, trials) == (2, 0), err
         assert "[study] ue_density_per_km2" in err and "area_km2 of 30.0" in err
+        assert not out.exists()
+
+    def test_results_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
+        # 3000 UEs fit in 1 MiB, but the results of 200 trials, 9 KiB each, do not
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        out = fresh_out(workdir)
+        code, trials, err = run_main(run_argv(workdir, out, "--trials", "200"))
+        assert (code, trials) == (2, 0), err
+        assert "[study] trials" in err and "--trials" in err and "200 trials" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

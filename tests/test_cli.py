@@ -22,7 +22,7 @@ from hapsran import (
     offload_week,
     traffic,
 )
-from hapsran import offload
+from hapsran import montecarlo, offload
 from hapsran.cli import main
 
 SMALL_CONFIG = """\
@@ -280,6 +280,35 @@ class TestRunCommand:
             assert main(argv) == 0
             digests.append(json.loads((out / "manifest.json").read_text())["config_sha256"])
         assert digests[0] != digests[1]
+
+    def test_default_study_digest_is_pinned(self, tmp_path):
+        # the digest hashes the settings and the pinned seed-42 scenario bytes only, so it
+        # is the same on every machine; the study's CSVs are not pinned
+        scenario = tmp_path / "scenario"
+        assert main(["scenario", "--out", str(scenario)]) == 0
+        argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "o"), "--trials", "100"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config_sha256"] == (
+            "b8ccd38d5bdd9f8e4556c4147e4f88090220123213ccdc8bf2c731161e9bc30c"
+        )
+
+    def test_threads_beyond_the_cpu_count(self, config_file, scenario_dir, tmp_path, monkeypatch):
+        # the pool takes the CPU count, and the manifest records the request
+        sizes = []
+        real_pool = montecarlo.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+        argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                "--out", str(tmp_path), "--threads", str(10**6)]
+        assert main(argv) == 0
+        assert sizes == [2]
+        assert json.loads((tmp_path / "manifest.json").read_text())["n_workers"] == 10**6
 
 
 class TestTrialCommand:

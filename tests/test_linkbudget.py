@@ -333,8 +333,8 @@ def reference_entry_loss_db(coeffs, f_c_ghz, elevation_deg, p):
 
 
 def reference_path_loss_db(params, tables, pop, use_shadow_fading=True, use_bel=True):
-    """Path loss from np.where picks and boolean-mask updates, the formulation
-    path_loss_db replaces with takes and index arrays."""
+    """Path loss as plain sums and boolean-mask updates, where path_loss_db adds in place
+    and updates through index arrays."""
     idx = tables.bucket_index(pop.elevation_deg)
     d = slant_range_km(params.haps_height_km, pop.elevation_deg)
     pl = np.full(len(pop), fspl_db(d, params.f_c_ghz))
@@ -414,6 +414,25 @@ class TestInPlaceLinkBudget:
         assert np.array_equal(path_loss_db(link, tables, pop, use_sf, use_bel), expected)
         rates = ue_rates_mbps(link, tables, pop, use_sf, use_bel)
         assert np.array_equal(rates, ue_rate_bps(link, snr_db(link, expected)) / 1e6)
+
+    def test_integer_table_entries(self, tables, link, tmp_path):
+        # a table file's JSON ints stay ints in ChannelTables; the per-UE picks must still be
+        # float arrays, which the in-place float terms can be added to
+        ints, floats = table_doc(tables), table_doc(tables)
+        for group in ("clutter", "sf_sigma"):
+            for key, values in ints[group].items():
+                ints[group][key] = [round(v) for v in values]
+                floats[group][key] = [float(round(v)) for v in values]
+        loaded = []
+        for name, doc in (("ints", ints), ("floats", floats)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            loaded.append(load_channel_tables(path))
+        assert type(loaded[0].clutter_nlos[0]) is int and type(loaded[0].sf_sigma_los[0]) is int
+        pop = drawn_population(np.random.default_rng(3), 400, 60.0)
+        got = path_loss_db(link, loaded[0], pop)
+        assert np.array_equal(got, path_loss_db(link, loaded[1], pop))
+        assert np.array_equal(got, reference_path_loss_db(link, loaded[1], pop))
 
     def test_broadcast_columns(self, tables, link):
         # read-only, zero-stride columns, as a population built by broadcasting has
@@ -518,3 +537,17 @@ class TestNdtri:
     def test_named_edges(self, p):
         assert_matches_scipy([p])
         assert_matches_scipy(p)  # 0-d in, 0-d out
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.linspace(0.2, 0.8, 7),
+            [1e-3, 0.1, 0.9, 1 - 1e-3],
+            [1e-20, 0.3, 1e-3, 5e-324, np.nextafter(1, 0)],  # sqrt(-2 log y) >= 8 for three
+            [],
+        ],
+        ids=["central-only", "tails-only", "far-tails", "empty"],
+    )
+    def test_arrays_that_reach_some_branches(self, p):
+        # a 0-d p of each branch is in test_named_edges
+        assert_matches_scipy(p)

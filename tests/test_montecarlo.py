@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import os
 import sys
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from hapsran import (
     sample_trial_config,
 )
 from hapsran import montecarlo, offload, traffic
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """A machine of 64 CPUs, so that a test's requested worker count is its pool size."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +109,7 @@ class TestRunStudy:
         )
         assert len(run_study(tiny)) == 1
 
-    def test_parallel_matches_sequential(self, study):
+    def test_parallel_matches_sequential(self, study, many_cpus):
         seq = run_study(study)
         par = run_study(dataclasses.replace(study, n_workers=4))
         for a, b in zip(seq, par):
@@ -109,7 +117,7 @@ class TestRunStudy:
             np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
             np.testing.assert_array_equal(a.offloaded_rate_per_hour, b.offloaded_rate_per_hour)
 
-    def test_workers_share_a_fresh_scenario(self, study):
+    def test_workers_share_a_fresh_scenario(self, study, many_cpus):
         # a fresh scenario's hour order is built by whichever worker needs it first
         seq = run_study(study)
         interval = sys.getswitchinterval()
@@ -128,7 +136,7 @@ class TestRunStudy:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_pooled_study_sorts_the_hours_once(self, study, monkeypatch):
+    def test_a_pooled_study_sorts_the_hours_once(self, study, many_cpus, monkeypatch):
         calls = []  # list.append is atomic, so worker threads can share it
         real_sort_hours = traffic.sort_hours
 
@@ -141,7 +149,7 @@ class TestRunStudy:
         run_study(dataclasses.replace(study, scenario=fresh, n_workers=2))
         assert calls == [1]
 
-    def test_one_worker_runs_inline(self, study, monkeypatch):
+    def test_one_worker_runs_inline(self, study, many_cpus, monkeypatch):
         pools = []
         real_pool = montecarlo.ThreadPoolExecutor
 
@@ -155,6 +163,40 @@ class TestRunStudy:
         pooled = run_study(dataclasses.replace(study, n_workers=2))
         assert pools == [2]
         for a, b in zip(inline, pooled, strict=True):
+            np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (64, 8), (1, 1), (None, 1)])
+    def test_the_pool_is_bounded_by_the_cpus(self, study, monkeypatch, cpus, workers):
+        # a million workers are asked for; the stand-in pool runs each call in this thread,
+        # so no thread starts even if the bound fails
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        inline = run_study(study)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        many = dataclasses.replace(study, n_workers=10**6)
+        assert many.workers == workers
+        results = run_study(many)
+        assert sizes == ([workers] if workers > 1 else [])  # one worker runs inline
+        for a, b in zip(inline, results, strict=True):
             np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
 
     def test_study_makes_no_bs_energy_call(self, study, monkeypatch):
