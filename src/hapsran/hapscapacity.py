@@ -36,23 +36,16 @@ SeedLike = int | tuple[int, ...]
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Sampled parameters of one Monte Carlo trial."""
+    """The draw of one Monte Carlo trial; every other input is a setting of its study."""
 
     elevation_deg: float
     indoor_frac: float
     traditional_frac: float
     rng_stream: SeedLike
-    ue_density_per_km2: float
-    area_km2: float
-    n_carriers: int
 
     def __post_init__(self):
         if not 0 <= self.indoor_frac <= 1 or not 0 <= self.traditional_frac <= 1:
             raise InvalidArgumentError("fractions must be in [0,1]")
-        if self.n_carriers < 1:
-            raise InvalidArgumentError("n_carriers must be >= 1")
-        if self.ue_density_per_km2 <= 0 or self.area_km2 <= 0:
-            raise InvalidArgumentError("density and area must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,22 +63,23 @@ class UEPopulation:
         return len(self.los)
 
 
-def sample_ue_population(cfg: TrialConfig, tables: ChannelTables) -> UEPopulation:
-    """Draw the trial's UE features, deterministic per rng_stream.
+def sample_ue_population(cfg: TrialConfig, tables: ChannelTables, n_ues: int) -> UEPopulation:
+    """Draw the features of the trial's n_ues UEs, deterministic per rng_stream.
 
     Separate sub-streams feed the categorical thresholds, the shadow-fading
     draws and the entry-loss probabilities, so paired experiments can hold
     individual noise sources fixed.
     """
-    n = math.ceil(cfg.ue_density_per_km2 * cfg.area_km2)
+    if n_ues < 1:
+        raise InvalidArgumentError(f"n_ues must be >= 1, got {n_ues}")
     pop_ss, sf_ss, bel_ss = np.random.SeedSequence(cfg.rng_stream).spawn(3)
     rng = np.random.default_rng(pop_ss)
     # each uniform is thresholded as soon as it is drawn, so only its flags stay alive
-    los = rng.random(n) < los_probability(tables, cfg.elevation_deg)
-    indoor = rng.random(n) < cfg.indoor_frac
-    traditional = rng.random(n) < cfg.traditional_frac
-    sf = np.random.default_rng(sf_ss).standard_normal(n)
-    bel_p = np.random.default_rng(bel_ss).random(n)
+    los = rng.random(n_ues) < los_probability(tables, cfg.elevation_deg)
+    indoor = rng.random(n_ues) < cfg.indoor_frac
+    traditional = rng.random(n_ues) < cfg.traditional_frac
+    sf = np.random.default_rng(sf_ss).standard_normal(n_ues)
+    bel_p = np.random.default_rng(bel_ss).random(n_ues)
     np.clip(bel_p, 1e-12, 1 - 1e-12, out=bel_p)  # keep draws in the open interval
     return UEPopulation(
         elevation_deg=cfg.elevation_deg,
@@ -143,10 +137,10 @@ def ue_rates_mbps(
 
 
 def aggregate_capacity(
-    cfg: TrialConfig,
     params: LinkParams,
     tables: ChannelTables,
     pop: UEPopulation,
+    n_carriers: int,
     use_shadow_fading: bool = SHADOW_FADING,
     use_building_entry_loss: bool = BUILDING_ENTRY_LOSS,
     aggregation: str = AGGREGATIONS[0],
@@ -157,6 +151,8 @@ def aggregate_capacity(
     round-robin sharing of each carrier; "median" and "p5" (cell-edge style)
     are available as alternatives.
     """
+    if n_carriers < 1:
+        raise InvalidArgumentError(f"n_carriers must be >= 1, got {n_carriers}")
     if len(pop) == 0:
         raise InvalidArgumentError("UE population is empty")
     if aggregation not in AGGREGATIONS:
@@ -170,7 +166,7 @@ def aggregate_capacity(
             per_carrier = float(np.median(rates))
         else:
             per_carrier = float(np.percentile(rates, 5))
-    c_haps = cfg.n_carriers * per_carrier
+    c_haps = n_carriers * per_carrier
     if not math.isfinite(c_haps):
         raise InvalidArgumentError(
             f"c_haps is {c_haps} Mbps: the [link] settings overflow the link budget ({params})"

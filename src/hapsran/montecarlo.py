@@ -10,6 +10,7 @@ independent, order-insensitive and safe to run in parallel.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ _CONFIG_STREAM = 1
 _TRIAL_STREAM = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     scenario: TrafficScenario
     tables: ChannelTables
@@ -57,6 +58,11 @@ class StudyConfig:
 
     def __post_init__(self):
         require_finite(self)
+        # a float or bool count would run as a wrong number or fail late with a TypeError
+        for key in ("n_trials", "master_seed", "n_carriers", "n_workers"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
         if self.n_trials < 1:
             raise InvalidArgumentError("n_trials must be >= 1")
         for lo, hi in (self.indoor_range, self.traditional_range):
@@ -136,20 +142,18 @@ def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:
         indoor_frac=float(indoor),
         traditional_frac=float(traditional),
         rng_stream=(study.master_seed, trial_idx, _TRIAL_STREAM),
-        ue_density_per_km2=study.ue_density_per_km2,
-        area_km2=study.scenario.area_km2,
-        n_carriers=study.n_carriers,
     )
 
 
 def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> TrialResult:
     """Sample the UE population, compute c_haps, solve the week, collect metrics."""
-    pop = sample_ue_population(cfg, study.tables)
+    n_ues = math.ceil(study.ue_density_per_km2 * study.scenario.area_km2)
+    pop = sample_ue_population(cfg, study.tables, n_ues)
     c_haps = aggregate_capacity(
-        cfg,
         study.link,
         study.tables,
         pop,
+        study.n_carriers,
         use_shadow_fading=study.use_shadow_fading,
         use_building_entry_loss=study.use_building_entry_loss,
         aggregation=study.aggregation,

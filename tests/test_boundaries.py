@@ -511,9 +511,8 @@ def extreme_link_settings(draw) -> dict:
 
 @pytest.fixture(scope="module")
 def population(tables):
-    cfg = TrialConfig(elevation_deg=60.0, indoor_frac=0.75, traditional_frac=0.5,
-                      rng_stream=3, ue_density_per_km2=10.0, area_km2=30.0, n_carriers=6)
-    return cfg, sample_ue_population(cfg, tables)
+    cfg = TrialConfig(elevation_deg=60.0, indoor_frac=0.75, traditional_frac=0.5, rng_stream=3)
+    return sample_ue_population(cfg, tables, 300)  # 10 UEs per km2 over 30 km2
 
 
 class TestExtremeLinkSettings:
@@ -523,7 +522,6 @@ class TestExtremeLinkSettings:
     @given(link=extreme_link_settings())
     @settings(max_examples=300, deadline=None)
     def test_library(self, tables, population, link):
-        cfg, pop = population
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -532,7 +530,7 @@ class TestExtremeLinkSettings:
                 return
             for aggregation in AGGREGATIONS:
                 try:
-                    c_haps = aggregate_capacity(cfg, params, tables, pop, aggregation=aggregation)
+                    c_haps = aggregate_capacity(params, tables, population, 6, aggregation=aggregation)
                 except InvalidArgumentError:
                     continue
                 assert math.isfinite(c_haps) and c_haps >= 0, (aggregation, c_haps)

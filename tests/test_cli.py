@@ -92,8 +92,8 @@ class TestScenarioCommand:
     )
     def test_bytes_match_the_pinned_digests(self, tmp_path, name, config):
         # tests/data/scenario.sha256 holds each file's digest under <name>/scenario/, in
-        # sha256sum's format; CI checks every entry with sha256sum -c as well.  Seeds 1
-        # and 3 put the most targets above the largest base ratio, at the end of its order
+        # sha256sum's format, and this test checks every entry.  Seeds 1 and 3 put the
+        # most targets above the largest base ratio, at the end of its order
         cfg = tmp_path / "config.ini"
         cfg.write_text(config)
         out = tmp_path / name / "scenario"
@@ -309,6 +309,22 @@ class TestRunCommand:
         assert main(argv) == 0
         assert sizes == [2]
         assert json.loads((tmp_path / "manifest.json").read_text())["n_workers"] == 10**6
+
+    def test_outputs_do_not_depend_on_the_thread_count(
+        self, config_file, scenario_dir, tmp_path, monkeypatch
+    ):
+        # two CPUs, so that --threads 2 runs a pool on any machine; the manifest records the
+        # thread count and the wall clock, so of it only the config digest must agree
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        outs = [tmp_path / "threads1", tmp_path / "threads2"]
+        for threads, out in enumerate(outs, 1):
+            argv = ["run", "--config", config_file, "--scenario", scenario_dir, "--out", str(out),
+                    "--threads", str(threads), "--export-schedule"]
+            assert main(argv) == 0
+        for name in ("figure2.csv", "figure3.csv", "figure45.csv", "trials.csv", "schedule.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        serial, pooled = (json.loads((out / "manifest.json").read_text()) for out in outs)
+        assert serial["config_sha256"] == pooled["config_sha256"]
 
 
 class TestTrialCommand:

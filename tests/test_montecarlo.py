@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import os
 import sys
 import weakref
@@ -75,8 +76,58 @@ class TestStudyConfig:
             StudyConfig(small_scenario, tables, energy=EnergyParams(e_bb=1e305))
         StudyConfig(small_scenario, tables, energy=EnergyParams(e_bb=1e300))
 
+    @pytest.mark.parametrize("key", ["n_trials", "master_seed", "n_carriers", "n_workers"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_counts_are_integers(self, small_scenario, tables, key, value):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be an integer, got {value!r}"):
+            StudyConfig(small_scenario, tables, **{key: value})
+
+    def test_numpy_integers_are_counts(self, small_scenario, tables):
+        counts = dict(n_trials=2, master_seed=3, n_carriers=6, n_workers=1)
+        StudyConfig(small_scenario, tables, **{k: np.int64(v) for k, v in counts.items()})
+
+    def test_frozen(self, study):
+        for f in dataclasses.fields(StudyConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(study, f.name, getattr(study, f.name))
+
+    @pytest.mark.parametrize("key", ["n_trials", "n_workers"])
+    def test_replace_checks_again(self, study, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be >= 1"):
+            dataclasses.replace(study, **{key: 0})
+
+
+def _same_result(a, b) -> bool:
+    """Whether two trial results hold the same values, to the bit."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(montecarlo.TrialResult)
+    )
+
 
 class TestRunTrial:
+    def test_every_setting_comes_from_the_study(self, small_scenario, tables):
+        # a trial drawn under another study's density and carrier count runs as the study's own
+        study_a = StudyConfig(small_scenario, tables, n_trials=1, ue_density_per_km2=100.0)
+        study_b = dataclasses.replace(study_a, ue_density_per_km2=500.0, n_carriers=12)
+        own = run_trial(study_a, sample_trial_config(study_a, 0))
+        assert _same_result(run_trial(study_a, sample_trial_config(study_b, 0)), own)
+        assert not _same_result(run_trial(study_b, sample_trial_config(study_b, 0)), own)
+
+    @pytest.mark.parametrize("density", [7.3, 100.0])
+    def test_population_size_is_the_studys(self, small_scenario, tables, monkeypatch, density):
+        sizes, real = [], montecarlo.sample_ue_population
+
+        def sample(*args):
+            pop = real(*args)
+            sizes.append(len(pop))
+            return pop
+
+        monkeypatch.setattr(montecarlo, "sample_ue_population", sample)
+        study = StudyConfig(small_scenario, tables, n_trials=2, ue_density_per_km2=density)
+        run_study(study)
+        assert sizes == [math.ceil(density * small_scenario.area_km2)] * 2
+
     def test_deterministic(self, study):
         cfg = sample_trial_config(study, 0)
         a = run_trial(study, cfg)
