@@ -2,6 +2,7 @@
 
 import json
 import math
+import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -36,6 +37,13 @@ def require_finite(params) -> None:
         values = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, (int, float)) and not is_finite(v) for v in values):
             raise InvalidArgumentError(f"{f.name} must be finite, got {value!r}")
+
+
+def require_integer(name: str, value) -> None:
+    """Reject a count or seed that is not an integer, or is a bool: either would run as a
+    wrong number or fail late with a bare TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def parse_json(raw: bytes):

@@ -154,10 +154,9 @@ def _study_config(args) -> StudyConfig:
         n_workers=args.threads,
         **settings,
     )
-    # a trial holds about 64 bytes per UE, and up to study.workers trials run at once; the
-    # product is taken in float, so that an overflow reads inf
+    # a trial holds about 64 bytes per UE, and up to study.workers trials run at once
     density, area, workers = study.ue_density_per_km2, study.scenario.area_km2, study.workers
-    ue_need = density * float(area) * 64.0 * workers
+    ue_need = float(study.n_ues) * 64.0 * workers
     _require_memory(
         ue_need,
         f"bad [study] ue_density_per_km2 (or {_env_key('study', 'ue_density_per_km2')}): "

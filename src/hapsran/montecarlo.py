@@ -10,14 +10,13 @@ independent, order-insensitive and safe to run in parallel.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import require_finite
+from ._numeric import is_finite, require_finite, require_integer
 from .energymodel import EnergyParams
 from .errors import InvalidArgumentError
 from .hapscapacity import (
@@ -58,11 +57,8 @@ class StudyConfig:
 
     def __post_init__(self):
         require_finite(self)
-        # a float or bool count would run as a wrong number or fail late with a TypeError
         for key in ("n_trials", "master_seed", "n_carriers", "n_workers"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+            require_integer(key, getattr(self, key))
         if self.n_trials < 1:
             raise InvalidArgumentError("n_trials must be >= 1")
         for lo, hi in (self.indoor_range, self.traditional_range):
@@ -86,6 +82,16 @@ class StudyConfig:
             if not ok:
                 got = getattr(self, key)
                 raise InvalidArgumentError(f"[{section}] {key} must be {need}, got {got!r}")
+        # the sampler holds n_ues float64s per array: a count numpy cannot allocate fails
+        # here, and math.ceil never sees inf; a product of Python floats overflows to inf
+        # without a numpy warning
+        area = self.scenario.area_km2
+        ues = float(self.ue_density_per_km2) * float(area)
+        if not is_finite(ues) or 8 * self.n_ues > np.iinfo(np.intp).max:
+            raise InvalidArgumentError(
+                f"[study] ue_density_per_km2 must give a UE count numpy can allocate over the "
+                f"scenario's area_km2 of {area}, got {self.ue_density_per_km2!r}"
+            )
         if self.n_workers < 1:
             raise InvalidArgumentError(f"n_workers must be >= 1, got {self.n_workers}")
         # No load exceeds 1, so an all-on hour costs at most n_bs * (static + dynamic) and
@@ -96,6 +102,11 @@ class StudyConfig:
             raise InvalidArgumentError(
                 f"a full-load week of {n} BSs overflows: the [energy] settings are too large ({e})"
             )
+
+    @property
+    def n_ues(self) -> int:
+        """How many UEs each trial samples: the density times the scenario's area, rounded up."""
+        return math.ceil(self.ue_density_per_km2 * self.scenario.area_km2)
 
     @property
     def workers(self) -> int:
@@ -147,8 +158,7 @@ def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:
 
 def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> TrialResult:
     """Sample the UE population, compute c_haps, solve the week, collect metrics."""
-    n_ues = math.ceil(study.ue_density_per_km2 * study.scenario.area_km2)
-    pop = sample_ue_population(cfg, study.tables, n_ues)
+    pop = sample_ue_population(cfg, study.tables, study.n_ues)
     c_haps = aggregate_capacity(
         study.link,
         study.tables,

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import check_load, is_finite, parse_json
+from ._numeric import check_load, is_finite, parse_json, require_integer
 from .errors import DegenerateTraceError, InvalidArgumentError, NoCandidateError
 
 HOURS_PER_WEEK = 168
@@ -143,20 +143,7 @@ class TrafficScenario:
     capacities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._take(np.array(self.rate_matrix, dtype=float))  # the caller's array stays its own
-
-    @classmethod
-    def _adopt(cls, rates: np.ndarray, stats: tuple[BSStats, ...], area_km2) -> TrafficScenario:
-        """A scenario that takes over rates, a fresh (N, 168) float array that nothing else
-        holds, and freezes it in place instead of copying it."""
-        scenario = object.__new__(cls)
-        object.__setattr__(scenario, "stats", stats)
-        object.__setattr__(scenario, "area_km2", area_km2)
-        scenario._take(rates)
-        return scenario
-
-    def _take(self, rates: np.ndarray) -> None:
-        """Check rates against the stats and area, then hold them read-only."""
+        rates = np.array(self.rate_matrix, dtype=float)  # the caller's array stays its own
         area = self.area_km2
         real = isinstance(area, numbers.Real) and not isinstance(area, bool)
         if not (real and area > 0 and is_finite(area)):
@@ -191,6 +178,7 @@ class TrafficScenario:
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     """The generator of one seed's tagged stream; SeedSequence takes no negative seed."""
+    require_integer("seed", seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, tag]))
@@ -205,6 +193,7 @@ def generate_base_traces(n: int, seed: int) -> list[WeeklyTrace]:
     weekend scale, amplitude), then 168 noise factors.  lo + (hi - lo) * u is
     rng.uniform(lo, hi) to the bit, and the shapes are evaluated for all traces at once.
     """
+    require_integer("n", n)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     rng = _stream(seed, 0x7AFF)
@@ -245,6 +234,7 @@ def generate_target_stats(m: int, seed: int) -> list[BSStats]:
     and the mean strictly between the two.  A target's five uniforms are
     consecutive in the stream, so one (m, 5) draw takes them all.
     """
+    require_integer("m", m)
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got {m}")
     rng = _stream(seed, 0x57A7)
@@ -344,7 +334,7 @@ def build_scenario(
     bases = generate_base_traces(n_bases, seed)
     stats = generate_target_stats(m_targets, seed)
     rates = _matched_rows(np.stack([t.values for t in bases]), stats)
-    return TrafficScenario._adopt(rates, tuple(stats), area_km2)
+    return TrafficScenario(rates, stats, area_km2)
 
 
 # Every CSV the package writes has one format: a header row of column names, then one
@@ -460,4 +450,4 @@ def load_scenario(csv_path: str | Path, stats_path: str | Path) -> TrafficScenar
             raise InvalidArgumentError(f"sidecar n_bs {sidecar['n_bs']!r} != {n_bs} stats")
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed scenario sidecar {stats_path}: {exc!r}") from exc
-    return TrafficScenario._adopt(_read_rates(csv_path, n_bs), stats, area_km2)
+    return TrafficScenario(_read_rates(csv_path, n_bs), stats, area_km2)

@@ -461,6 +461,23 @@ class TestScenarioMemory:
         assert "[study] ue_density_per_km2" in err and "area_km2 of 30.0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("area", [30.0, 1e300])
+    def test_ue_count_numpy_cannot_allocate_exits_2(self, workdir, monkeypatch, area):
+        # 1e300 UEs per km2 stop in StudyConfig, whatever the memory, over a sidecar area
+        # whose product with the density is finite or is not
+        scenario = Path(tempfile.mkdtemp(dir=workdir))
+        original = workdir / "scenario"
+        (scenario / "scenario.csv").write_bytes((original / "scenario.csv").read_bytes())
+        sidecar = json.loads((original / "scenario_stats.json").read_text())
+        sidecar["area_km2"] = area
+        (scenario / "scenario_stats.json").write_text(json.dumps(sidecar))
+        monkeypatch.setenv("HAPSRAN_STUDY_UE_DENSITY_PER_KM2", "1e300")
+        out = fresh_out(workdir)
+        code, trials, err = run_main(run_argv(workdir, out, scenario=scenario))
+        assert (code, trials) == (2, 0), err
+        assert "[study] ue_density_per_km2" in err and f"area_km2 of {area}" in err
+        assert not out.exists()
+
     def test_results_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
         # 3000 UEs fit in 1 MiB, but the results of 200 trials, 9 KiB each, do not
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
@@ -472,7 +489,7 @@ class TestScenarioMemory:
 
     @pytest.mark.parametrize(
         "env, command",
-        [({"HAPSRAN_STUDY_UE_DENSITY_PER_KM2": "1e300"}, "run"),
+        [({"HAPSRAN_STUDY_UE_DENSITY_PER_KM2": "1e16"}, "run"),
          ({"HAPSRAN_SCENARIO_N_BASES": str(2**60)}, "scenario")],
         ids=["ue_density", "n_bases"],
     )

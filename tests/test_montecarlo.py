@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import sys
 import weakref
 from concurrent.futures import Future
@@ -82,6 +83,16 @@ class TestStudyConfig:
         with pytest.raises(InvalidArgumentError, match=f"{key} must be an integer, got {value!r}"):
             StudyConfig(small_scenario, tables, **{key: value})
 
+    @pytest.mark.parametrize(
+        "density, area", [(1e300, 30.0), (1e17, 30.0), (1e300, 1e300), (1e300, np.float64(1e300))]
+    )
+    def test_ue_count_numpy_cannot_allocate(self, small_scenario, tables, density, area):
+        scenario = TrafficScenario(small_scenario.rate_matrix, small_scenario.stats, area)
+        tail = re.escape(f"area_km2 of {area}, got {density!r}")
+        match = r"\[study\] ue_density_per_km2 .* " + tail
+        with pytest.raises(InvalidArgumentError, match=match):
+            StudyConfig(scenario, tables, ue_density_per_km2=density)
+
     def test_numpy_integers_are_counts(self, small_scenario, tables):
         counts = dict(n_trials=2, master_seed=3, n_carriers=6, n_workers=1)
         StudyConfig(small_scenario, tables, **{k: np.int64(v) for k, v in counts.items()})
@@ -126,7 +137,8 @@ class TestRunTrial:
         monkeypatch.setattr(montecarlo, "sample_ue_population", sample)
         study = StudyConfig(small_scenario, tables, n_trials=2, ue_density_per_km2=density)
         run_study(study)
-        assert sizes == [math.ceil(density * small_scenario.area_km2)] * 2
+        assert sizes == [study.n_ues] * 2
+        assert study.n_ues == math.ceil(density * small_scenario.area_km2)
 
     def test_deterministic(self, study):
         cfg = sample_trial_config(study, 0)

@@ -381,6 +381,18 @@ class TestMatchTrace:
 
 
 class TestBuildScenario:
+    @pytest.mark.parametrize("key", ["n_bases", "m_targets", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_counts_and_seed_are_integers(self, key, value):
+        args = {"n_bases": 8, "m_targets": 3, "seed": 5, key: value}
+        with pytest.raises(InvalidArgumentError, match=f"must be an integer, got {value!r}"):
+            build_scenario(**args)
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        a = build_scenario(np.int64(8), np.int64(3), seed=np.int64(5))
+        b = build_scenario(8, 3, seed=5)
+        assert np.array_equal(a.rate_matrix, b.rate_matrix) and a.stats == b.stats
+
     def test_shape(self):
         scenario = build_scenario(30, 20, seed=1)
         assert scenario.n_bs == 20
@@ -712,29 +724,29 @@ class TestTrafficScenario:
         with pytest.raises(InvalidArgumentError):
             TrafficScenario(rate_matrix=rates, stats=stats)
 
-
-    def test_built_and_loaded_matrices_are_held_without_a_copy(self, monkeypatch, tmp_path):
-        made = []
+    @pytest.mark.parametrize("way", ["constructor", "build_scenario", "load_scenario"])
+    def test_a_callers_matrix_stays_its_own(self, small_scenario, monkeypatch, tmp_path, way):
+        # every way in copies the matrix it is handed and freezes the copy, not the original
+        handed = []
 
         def keeping(function):
             def wrapper(*args):
-                made.append(function(*args))
-                return made[-1]
+                handed.append(function(*args))
+                return handed[-1]
 
             return wrapper
 
-        monkeypatch.setattr(traffic, "_matched_rows", keeping(traffic._matched_rows))
-        monkeypatch.setattr(traffic, "_read_rates", keeping(traffic._read_rates))
-        built = build_scenario(8, 3, seed=5)
-        save_scenario(built, tmp_path / "s.csv", tmp_path / "s.json")
-        loaded = load_scenario(tmp_path / "s.csv", tmp_path / "s.json")
-        assert np.shares_memory(made[0], built.rate_matrix)
-        assert np.shares_memory(made[1], loaded.rate_matrix)
-        assert not built.rate_matrix.flags.writeable and not loaded.rate_matrix.flags.writeable
-
-    def test_a_callers_matrix_stays_its_own(self, small_scenario):
-        rates = np.array(small_scenario.rate_matrix)
-        scenario = TrafficScenario(rate_matrix=rates, stats=small_scenario.stats)
+        if way == "constructor":
+            handed.append(np.array(small_scenario.rate_matrix))
+            scenario = TrafficScenario(rate_matrix=handed[0], stats=small_scenario.stats)
+        elif way == "build_scenario":
+            monkeypatch.setattr(traffic, "_matched_rows", keeping(traffic._matched_rows))
+            scenario = build_scenario(8, 3, seed=5)
+        else:
+            save_scenario(small_scenario, tmp_path / "s.csv", tmp_path / "s.json")
+            monkeypatch.setattr(traffic, "_read_rates", keeping(traffic._read_rates))
+            scenario = load_scenario(tmp_path / "s.csv", tmp_path / "s.json")
+        (rates,) = handed
         assert rates.flags.writeable
         assert not np.shares_memory(rates, scenario.rate_matrix)
         assert not scenario.rate_matrix.flags.writeable
