@@ -3,6 +3,8 @@
 import json
 import math
 import numbers
+import os
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -44,6 +46,28 @@ def require_integer(name: str, value) -> None:
     wrong number or fail late with a bare TypeError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
+def physical_memory_bytes() -> int | None:
+    """The machine's physical memory, or None where os.sysconf cannot tell."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return memory if memory > 0 else None
+
+
+def require_memory(need, what: str) -> None:
+    """Reject the settings that what names if they need more than the physical memory or,
+    where os.sysconf cannot tell it, than the largest array numpy can index."""
+    memory = physical_memory_bytes()
+    limit = memory or np.iinfo(np.intp).max
+    of = "physical memory" if memory else "numpy's largest array"
+    if need > limit:
+        need = need if need <= sys.float_info.max else np.inf  # an int too large for a float
+        raise InvalidArgumentError(
+            f"{what} need about {need:.3g} bytes, more than the {limit} bytes of {of}"
+        )
 
 
 def parse_json(raw: bytes):

@@ -30,6 +30,9 @@ AGGREGATIONS = ("mean", "median", "p5")  # the first is the default
 # both impairments are modelled unless a debugging run switches them off
 SHADOW_FADING = True
 BUILDING_ENTRY_LOSS = True
+# a trial's peak bytes per UE, in its population and aggregate_capacity's temporaries:
+# tracemalloc read 94.3-94.7 at 30k-300k UEs all indoors in one building class, the worst
+BYTES_PER_UE = 96
 
 SeedLike = int | tuple[int, ...]
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .errors import InvalidArgumentError, UndefinedMetricError
 from .montecarlo import StudyConfig, TrialResult
-from .traffic import HOURS_PER_WEEK, TrafficScenario, write_csv_grid, write_csv_rows
+from .traffic import HOURS_PER_DAY, HOURS_PER_WEEK, WEEKDAYS, TrafficScenario
+from .traffic import write_csv_grid, write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class PeriodMask:
 
 WEEK_MASK = PeriodMask("week", tuple(range(HOURS_PER_WEEK)))
 # "night" covers 0-5 AM inclusive on each of the seven days
-NIGHT_MASK = PeriodMask("night", tuple(h for h in range(HOURS_PER_WEEK) if h % 24 <= 5))
-WEEKDAY_MASK = PeriodMask("weekday", tuple(range(120)))
-WEEKEND_MASK = PeriodMask("weekend", tuple(range(120, HOURS_PER_WEEK)))
+NIGHT_MASK = PeriodMask("night", tuple(h for h in range(HOURS_PER_WEEK) if h % HOURS_PER_DAY <= 5))
+WEEKDAY_MASK = PeriodMask("weekday", tuple(range(WEEKDAYS * HOURS_PER_DAY)))
+WEEKEND_MASK = PeriodMask("weekend", tuple(range(WEEKDAYS * HOURS_PER_DAY, HOURS_PER_WEEK)))
 DEFAULT_MASKS = (WEEK_MASK, NIGHT_MASK, WEEKDAY_MASK, WEEKEND_MASK)
 
 

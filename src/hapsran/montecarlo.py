@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import is_finite, require_finite, require_integer
+from ._numeric import require_finite, require_integer, require_memory
 from .energymodel import EnergyParams
 from .errors import InvalidArgumentError
 from .hapscapacity import (
     AGGREGATIONS,
     BUILDING_ENTRY_LOSS,
+    BYTES_PER_UE,
     SHADOW_FADING,
     TrialConfig,
     aggregate_capacity,
@@ -34,6 +35,9 @@ from .traffic import HOURS_PER_WEEK, TrafficScenario
 # stream tags keeping config draws and trial draws disjoint
 _CONFIG_STREAM = 1
 _TRIAL_STREAM = 2
+# the bytes of each TrialResult that run_study keeps until the writers run: tracemalloc
+# read 9,065-9,091 at 50-1000 trials on 1 and 2 workers
+BYTES_PER_RESULT = 9728
 
 
 @dataclass(frozen=True)
@@ -82,18 +86,22 @@ class StudyConfig:
             if not ok:
                 got = getattr(self, key)
                 raise InvalidArgumentError(f"[{section}] {key} must be {need}, got {got!r}")
-        # the sampler holds n_ues float64s per array: a count numpy cannot allocate fails
-        # here, and math.ceil never sees inf; a product of Python floats overflows to inf
-        # without a numpy warning
-        area = self.scenario.area_km2
-        ues = float(self.ue_density_per_km2) * float(area)
-        if not is_finite(ues) or 8 * self.n_ues > np.iinfo(np.intp).max:
-            raise InvalidArgumentError(
-                f"[study] ue_density_per_km2 must give a UE count numpy can allocate over the "
-                f"scenario's area_km2 of {area}, got {self.ue_density_per_km2!r}"
-            )
         if self.n_workers < 1:
             raise InvalidArgumentError(f"n_workers must be >= 1, got {self.n_workers}")
+        # `workers` trials hold their UEs at once, beside every trial's result; a product
+        # of Python floats overflows to an inf need, so n_ues's math.ceil never sees inf
+        density, area, workers = self.ue_density_per_km2, self.scenario.area_km2, self.workers
+        ue_need = float(density) * float(area) * BYTES_PER_UE * workers
+        require_memory(
+            ue_need,
+            f"[study] ue_density_per_km2 over the scenario's area_km2 of {area}, got "
+            f"{density!r}: {workers} running trial(s) at {BYTES_PER_UE} bytes per UE",
+        )
+        require_memory(
+            ue_need + self.n_trials * BYTES_PER_RESULT,
+            f"[study] trials (or --trials): the results of {self.n_trials} trials at "
+            f"{BYTES_PER_RESULT} bytes each, beside the UEs of {workers} running trial(s)",
+        )
         # No load exceeds 1, so an all-on hour costs at most n_bs * (static + dynamic) and
         # no trial's energy reaches twice the full-load week: the factor 2 leaves room for
         # LOAD_TOLERANCE and for rounding, and the check needs no hour order.

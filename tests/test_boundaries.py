@@ -30,7 +30,7 @@ from hapsran import (
     load_scenario,
     save_scenario,
 )
-from hapsran import LinkParams, cli, montecarlo
+from hapsran import LinkParams, _numeric, cli, montecarlo
 from hapsran.cli import SCHEMA, main
 from hapsran.hapscapacity import AGGREGATIONS, TrialConfig, aggregate_capacity, sample_ue_population
 
@@ -436,8 +436,8 @@ class TestEnvironment:
 
 class TestScenarioMemory:
     def test_counts_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
-        # 1010 rows of 168 float64 hours are 1.4 MB: a small build even without the check
-        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        # 1010 rows at 4400 bytes each are 4.4 MB: a small build even without the check
+        monkeypatch.setattr(_numeric, "physical_memory_bytes", lambda: 1 << 20)
         monkeypatch.setenv("HAPSRAN_SCENARIO_N_BASES", "1000")
         monkeypatch.setenv("HAPSRAN_SCENARIO_M_TARGETS", "10")
         out = fresh_out(workdir)
@@ -450,9 +450,9 @@ class TestScenarioMemory:
     def test_ue_population_beyond_physical_memory_exits_2(
         self, workdir, monkeypatch, density, threads
     ):
-        # 21,000 UEs, or 9000 on each of two workers, at 64 bytes each exceed 1 MiB; two
+        # 21,000 UEs, or 9000 on each of two workers, at 96 bytes each exceed 1 MiB; two
         # CPUs let two workers run
-        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(_numeric, "physical_memory_bytes", lambda: 1 << 20)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("HAPSRAN_STUDY_UE_DENSITY_PER_KM2", density)
         out = fresh_out(workdir)
@@ -479,8 +479,8 @@ class TestScenarioMemory:
         assert not out.exists()
 
     def test_results_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
-        # 3000 UEs fit in 1 MiB, but the results of 200 trials, 9 KiB each, do not
-        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 1 << 20)
+        # 3000 UEs fit in 1 MiB, but the results of 200 trials, 9.5 KiB each, do not
+        monkeypatch.setattr(_numeric, "physical_memory_bytes", lambda: 1 << 20)
         out = fresh_out(workdir)
         code, trials, err = run_main(run_argv(workdir, out, "--trials", "200"))
         assert (code, trials) == (2, 0), err
@@ -495,7 +495,7 @@ class TestScenarioMemory:
     )
     def test_unknown_memory_falls_back_to_numpy_limit(self, workdir, monkeypatch, env, command):
         # where os.sysconf cannot tell the memory, the limit is the largest array numpy indexes
-        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(_numeric, "physical_memory_bytes", lambda: None)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         out = fresh_out(workdir)
@@ -509,9 +509,9 @@ class TestScenarioMemory:
         assert not out.exists()
 
     def test_memory_is_unknown_without_sysconf(self, monkeypatch):
-        assert cli._physical_memory_bytes() is None or cli._physical_memory_bytes() > 0
+        assert _numeric.physical_memory_bytes() is None or _numeric.physical_memory_bytes() > 0
         monkeypatch.delattr(os, "sysconf", raising=False)
-        assert cli._physical_memory_bytes() is None
+        assert _numeric.physical_memory_bytes() is None
 
 
 _LINK_FIELDS = [f.name for f in fields(LinkParams)]

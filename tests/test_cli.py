@@ -482,6 +482,14 @@ class TestMalformedInputsExit2:
         monkeypatch.setenv("HAPSRAN_ENERGY_ETA", "5%")
         assert self.run(config_file, scenario_dir, tmp_path) == 2
 
+    def test_config_value_is_its_text(self, scenario_dir, tmp_path, capsys):
+        # no %(key)s interpolation: the text does not run as the trial count, 3
+        cfg = tmp_path / "interpolated.ini"
+        cfg.write_text(SMALL_CONFIG + "master_seed = %(trials)s\n")
+        assert self.run(str(cfg), scenario_dir, tmp_path) == 2
+        assert "[study] master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

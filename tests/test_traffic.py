@@ -385,7 +385,7 @@ class TestBuildScenario:
     @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
     def test_counts_and_seed_are_integers(self, key, value):
         args = {"n_bases": 8, "m_targets": 3, "seed": 5, key: value}
-        with pytest.raises(InvalidArgumentError, match=f"must be an integer, got {value!r}"):
+        with pytest.raises(InvalidArgumentError, match=f"^{key} must be an integer, got {value!r}"):
             build_scenario(**args)
 
     def test_numpy_integers_are_counts_and_seeds(self):
