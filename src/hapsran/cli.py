@@ -30,7 +30,6 @@ from .errors import HapsRanError, InvalidArgumentError
 from .linkbudget import LinkParams, load_channel_tables
 from .metrics import DEFAULT_MASKS, energy_saving
 from .montecarlo import StudyConfig, run_study, run_trial, sample_trial_config
-from .offload import OffloadConstraints, offload_week
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,15 +204,12 @@ def cmd_run(args) -> int:
 
 
 def _export_debug_schedule(path: Path, study: StudyConfig, results) -> None:
-    """Re-solve trial 0 and dump its hour-by-hour schedule with each BS's own energy."""
-    cons = OffloadConstraints(
-        min_active_frac=study.min_active_frac, c_haps=results[0].c_haps_mbps
-    )
-    schedule = offload_week(study.scenario, study.energy, cons)
+    """Dump trial 0's hour-by-hour schedule with each BS's own energy."""
+    active = results[0].schedule.active
     awake = bs_energy(study.energy, study.scenario.rate_matrix.T, study.scenario.capacities)
-    energy = np.where(schedule.active, awake, sleep_energy(study.energy))
+    energy = np.where(active, awake, sleep_energy(study.energy))
     columns = [("hour", int), ("bs_id", int), ("active", int), ("energy", float)]
-    traffic.write_csv_grid(path, columns, enumerate(zip(schedule.active, energy)))
+    traffic.write_csv_grid(path, columns, enumerate(zip(active, energy)))
 
 
 def cmd_trial(args) -> int:
@@ -242,7 +238,7 @@ def cmd_trial(args) -> int:
     for h in range(len(result.offloaded_rate_per_hour)):
         print(
             f"{h:4d} {result.offloaded_rate_per_hour[h]:14.3f} "
-            f"{result.offloaded_count_per_hour[h]:15d} {result.active_count_per_hour[h]:12d}"
+            f"{result.schedule.offloaded_count[h]:15d} {result.active_count_per_hour[h]:12d}"
         )
     return EXIT_OK
 

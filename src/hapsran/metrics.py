@@ -54,7 +54,7 @@ def energy_saving(result: TrialResult, mask: PeriodMask) -> float:
     base = float(result.baseline_energy_per_hour[idx].sum())
     if base <= 0:
         raise UndefinedMetricError(f"zero baseline energy over mask {mask.name!r}")
-    return 1.0 - float(result.energy_per_hour[idx].sum()) / base
+    return 1.0 - float(result.schedule.energy_per_hour[idx].sum()) / base
 
 
 def sorted_saving_curves(results: list[TrialResult]) -> dict[str, np.ndarray]:
@@ -73,7 +73,7 @@ _TRIAL_COLUMNS = (
 
 
 def _trial_cells(r: TrialResult) -> list:
-    return [r.trial_idx, r.elevation_deg, r.indoor_frac, r.traditional_frac]
+    return [r.trial_idx, r.draw.elevation_deg, r.draw.indoor_frac, r.draw.traditional_frac]
 
 
 def write_figure2_csv(path: str | Path, results: list[TrialResult]) -> None:
@@ -104,11 +104,11 @@ def write_figure45_csv(
 
     def blocks():
         for r in results:
-            capacity = r.c_haps_mbps + r.active_capacity_per_hour
+            capacity = r.c_haps_mbps + r.schedule.active_capacity
             zero = np.flatnonzero(capacity <= 0)
             if zero.size:
                 raise UndefinedMetricError(f"zero available capacity at hour {zero[0]}")
-            yield r.trial_idx, (r.offloaded_rate_per_hour / demand, demand / capacity)
+            yield r.trial_idx, (r.schedule.offloaded_rate / demand, demand / capacity)
 
     columns = [("trial", int), ("hour", int), ("offloaded_frac", float), ("utilization", float)]
     write_csv_grid(path, columns, blocks())
@@ -119,8 +119,9 @@ def write_trials_csv(path: str | Path, results: list[TrialResult]) -> None:
     columns = [*_TRIAL_COLUMNS, *((name, float) for name in floats), ("never_active_bs", int)]
     rows = (
         _trial_cells(r)
-        + [r.c_haps_mbps, r.total_energy, r.baseline_energy, energy_saving(r, WEEK_MASK),
-           energy_saving(r, NIGHT_MASK), r.never_active_bs_count]
+        + [r.c_haps_mbps, r.schedule.total_energy, float(r.baseline_energy_per_hour.sum()),
+           energy_saving(r, WEEK_MASK), energy_saving(r, NIGHT_MASK),
+           r.schedule.never_active_count]
         for r in results
     )
     write_csv_rows(path, columns, rows)

@@ -29,15 +29,15 @@ from .hapscapacity import (
     sample_ue_population,
 )
 from .linkbudget import ChannelTables, LinkParams
-from .offload import OffloadConstraints, baseline_energy_per_hour, offload_week
+from .offload import OffloadConstraints, OffloadSchedule, baseline_energy_per_hour, offload_week
 from .traffic import HOURS_PER_WEEK, TrafficScenario
 
 # stream tags keeping config draws and trial draws disjoint
 _CONFIG_STREAM = 1
 _TRIAL_STREAM = 2
 # the bytes of each TrialResult that run_study keeps until the writers run: tracemalloc
-# read 9,065-9,091 at 50-1000 trials on 1 and 2 workers
-BYTES_PER_RESULT = 9728
+# read 7,753-7,902 at 50-1000 trials on 1 and 2 workers
+BYTES_PER_RESULT = 8448
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,9 @@ class StudyConfig:
         for key in ("n_trials", "master_seed", "n_carriers", "n_workers"):
             require_integer(key, getattr(self, key))
         if self.n_trials < 1:
-            raise InvalidArgumentError("n_trials must be >= 1")
+            raise InvalidArgumentError(
+                f"[study] trials (or --trials) must be >= 1, got {self.n_trials}"
+            )
         for lo, hi in (self.indoor_range, self.traditional_range):
             if not 0 <= lo <= hi <= 1:
                 raise InvalidArgumentError("ranges must be well-ordered within [0,1]")
@@ -87,7 +89,7 @@ class StudyConfig:
                 got = getattr(self, key)
                 raise InvalidArgumentError(f"[{section}] {key} must be {need}, got {got!r}")
         if self.n_workers < 1:
-            raise InvalidArgumentError(f"n_workers must be >= 1, got {self.n_workers}")
+            raise InvalidArgumentError(f"--threads (n_workers) must be >= 1, got {self.n_workers}")
         # `workers` trials hold their UEs at once, beside every trial's result; a product
         # of Python floats overflows to an inf need, so n_ues's math.ceil never sees inf
         density, area, workers = self.ue_density_per_km2, self.scenario.area_km2, self.workers
@@ -125,25 +127,31 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """What one trial decides: its draw, its HAPS capacity and its week's greedy schedule,
+    beside the all-on baseline it is scored against."""
+
     trial_idx: int
-    elevation_deg: float
-    indoor_frac: float
-    traditional_frac: float
+    draw: TrialConfig
     c_haps_mbps: float
-    total_energy: float
-    baseline_energy: float
-    energy_per_hour: np.ndarray
+    schedule: OffloadSchedule
     baseline_energy_per_hour: np.ndarray
-    offloaded_rate_per_hour: np.ndarray
-    offloaded_count_per_hour: np.ndarray
-    active_count_per_hour: np.ndarray
-    active_capacity_per_hour: np.ndarray
-    never_active_bs_count: int
 
     def __post_init__(self):
         # with e0 = 0, a week in which every BS sleeps costs exactly 0
-        if not self.baseline_energy >= self.total_energy >= 0:
+        if not float(self.baseline_energy_per_hour.sum()) >= self.schedule.total_energy >= 0:
             raise InvalidArgumentError("expected baseline_energy >= total_energy >= 0")
+
+    @property
+    def active_count_per_hour(self) -> np.ndarray:
+        return self.schedule.rank.shape[1] - self.schedule.offloaded_count
+
+    @property
+    def offloaded_rate_per_hour(self) -> np.ndarray:
+        return self.schedule.offloaded_rate
+
+    @property
+    def never_active_bs_count(self) -> int:
+        return self.schedule.never_active_count
 
 
 def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:
@@ -165,7 +173,7 @@ def sample_trial_config(study: StudyConfig, trial_idx: int) -> TrialConfig:
 
 
 def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> TrialResult:
-    """Sample the UE population, compute c_haps, solve the week, collect metrics."""
+    """Sample the UE population, compute c_haps and solve the week."""
     pop = sample_ue_population(cfg, study.tables, study.n_ues)
     c_haps = aggregate_capacity(
         study.link,
@@ -179,22 +187,7 @@ def run_trial(study: StudyConfig, cfg: TrialConfig, trial_idx: int = 0) -> Trial
     cons = OffloadConstraints(min_active_frac=study.min_active_frac, c_haps=c_haps)
     schedule = offload_week(study.scenario, study.energy, cons)
     baseline_ph = baseline_energy_per_hour(study.scenario, study.energy)
-    return TrialResult(
-        trial_idx=trial_idx,
-        elevation_deg=cfg.elevation_deg,
-        indoor_frac=cfg.indoor_frac,
-        traditional_frac=cfg.traditional_frac,
-        c_haps_mbps=c_haps,
-        total_energy=schedule.total_energy,
-        baseline_energy=float(baseline_ph.sum()),
-        energy_per_hour=schedule.energy_per_hour,
-        baseline_energy_per_hour=baseline_ph,
-        offloaded_rate_per_hour=schedule.offloaded_rate,
-        offloaded_count_per_hour=schedule.offloaded_count,
-        active_count_per_hour=study.scenario.n_bs - schedule.offloaded_count,
-        active_capacity_per_hour=schedule.active_capacity,
-        never_active_bs_count=schedule.never_active_count,
-    )
+    return TrialResult(trial_idx, cfg, c_haps, schedule, baseline_ph)
 
 
 def run_study(study: StudyConfig) -> list[TrialResult]:

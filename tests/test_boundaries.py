@@ -479,7 +479,7 @@ class TestScenarioMemory:
         assert not out.exists()
 
     def test_results_beyond_physical_memory_exit_2(self, workdir, monkeypatch):
-        # 3000 UEs fit in 1 MiB, but the results of 200 trials, 9.5 KiB each, do not
+        # 3000 UEs fit in 1 MiB, but the results of 200 trials, 8.25 KiB each, do not
         monkeypatch.setattr(_numeric, "physical_memory_bytes", lambda: 1 << 20)
         out = fresh_out(workdir)
         code, trials, err = run_main(run_argv(workdir, out, "--trials", "200"))

@@ -208,6 +208,28 @@ class TestRunCommand:
         header = (tmp_path / "schedule.csv").read_text().splitlines()[0]
         assert header == "hour,bs_id,active,energy"
 
+    def test_export_schedule_is_trial_0s_own(
+        self, config_file, scenario_dir, tmp_path, monkeypatch
+    ):
+        # the export writes the schedule that trial 0 solved: no week is solved a third time
+        schedules = []
+        real_solve = offload._solve
+
+        def counting(*args):
+            schedules.append(real_solve(*args))
+            return schedules[-1]
+
+        monkeypatch.setattr(offload, "_solve", counting)
+        argv = ["run", "--config", config_file, "--scenario", scenario_dir,
+                "--out", str(tmp_path), "--trials", "2", "--export-schedule"]
+        assert main(argv) == 0
+        assert len(schedules) == 2
+        with (tmp_path / "schedule.csv").open(newline="") as fh:
+            active = [int(row["active"]) for row in csv.DictReader(fh)]
+        np.testing.assert_array_equal(
+            np.reshape(active, schedules[0].active.shape), schedules[0].active
+        )
+
     def test_only_the_schedule_export_calls_bs_energy(
         self, config_file, scenario_dir, tmp_path, monkeypatch
     ):
@@ -398,7 +420,7 @@ class TestTrialCommand:
             out = tmp_path / "out"
             argv = ["run", "--config", str(cfg), "--scenario", scenario_dir, "--out", str(out)]
             assert main(argv) == 2
-            assert "n_trials must be >= 1" in capsys.readouterr().err
+            assert "[study] trials (or --trials) must be >= 1, got 0" in capsys.readouterr().err
             assert not out.exists()
 
     def test_repeatable_dump(self, config_file, scenario_dir, capsys):
@@ -616,7 +638,7 @@ class TestMalformedInputsExit2:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, config_file, scenario_dir, tmp_path, capsys, threads):
         assert self.run(config_file, scenario_dir, tmp_path, "--threads", threads) == 2
-        assert "n_workers" in capsys.readouterr().err
+        assert f"--threads (n_workers) must be >= 1, got {threads}" in capsys.readouterr().err
 
     def test_config_without_section_header(self, tmp_path):
         cfg = tmp_path / "bad.ini"

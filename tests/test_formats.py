@@ -50,13 +50,12 @@ def study():
 def results(study):
     """Three trials, and a fourth whose cells are not Python floats and ints."""
     study_results = run_study(study)
+    first = study_results[0]
     odd = replace(
-        study_results[0],
+        first,
         trial_idx=np.int64(3),
-        elevation_deg=90,
-        indoor_frac=np.float64(0.75),
+        draw=replace(first.draw, elevation_deg=90, indoor_frac=np.float64(0.75)),
         c_haps_mbps=np.float64(40.0),
-        never_active_bs_count=np.int64(2),
     )
     return [*study_results, odd]
 
@@ -65,7 +64,7 @@ TRIAL = [("trial", int), ("elevation", float), ("indoor_frac", float), ("traditi
 
 
 def trial_cells(r):
-    return [r.trial_idx, r.elevation_deg, r.indoor_frac, r.traditional_frac]
+    return [r.trial_idx, r.draw.elevation_deg, r.draw.indoor_frac, r.draw.traditional_frac]
 
 
 class TestEveryTableMatchesCsvWriter:
@@ -88,8 +87,8 @@ class TestEveryTableMatchesCsvWriter:
         columns = [*TRIAL, *((n, float) for n in floats), ("never_active_bs", int)]
         rows = [
             trial_cells(r)
-            + [r.c_haps_mbps, r.total_energy, r.baseline_energy, energy_saving(r, WEEK_MASK),
-               energy_saving(r, NIGHT_MASK), r.never_active_bs_count]
+            + [r.c_haps_mbps, r.schedule.total_energy, r.baseline_energy_per_hour.sum(),
+               energy_saving(r, WEEK_MASK), energy_saving(r, NIGHT_MASK), r.never_active_bs_count]
             for r in results
         ]
         write_trials_csv(tmp_path / "f.csv", results)
@@ -107,7 +106,7 @@ class TestEveryTableMatchesCsvWriter:
             for r in results
             for h, (a, b) in enumerate(zip(
                 r.offloaded_rate_per_hour / demand,
-                demand / (r.c_haps_mbps + r.active_capacity_per_hour),
+                demand / (r.c_haps_mbps + r.schedule.active_capacity),
             ))
         ]
         write_figure45_csv(tmp_path / "f.csv", results, study.scenario)

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hapsran import (
+    OffloadSchedule,
     StudyConfig,
     TrafficScenario,
+    TrialConfig,
     UndefinedMetricError,
     build_scenario,
     run_study,
@@ -49,38 +51,31 @@ def offloaded_fraction(result: TrialResult, scenario: TrafficScenario, hour: int
     total = hourly_demand(scenario, hour)
     if total <= 0:
         raise UndefinedMetricError(f"zero traffic demand at hour {hour}")
-    return float(result.offloaded_rate_per_hour[hour]) / total
+    return float(result.schedule.offloaded_rate[hour]) / total
 
 
 def capacity_utilization(result: TrialResult, scenario: TrafficScenario, hour: int) -> float:
     """Total demand over combined HAPS plus active terrestrial capacity."""
-    denom = result.c_haps_mbps + float(result.active_capacity_per_hour[hour])
+    denom = result.c_haps_mbps + float(result.schedule.active_capacity[hour])
     if denom <= 0:
         raise UndefinedMetricError(f"zero available capacity at hour {hour}")
     return hourly_demand(scenario, hour) / denom
 
 
-def toy_result(energy_ph, baseline_ph, **kw):
-    energy_ph = np.asarray(energy_ph, dtype=float)
-    baseline_ph = np.asarray(baseline_ph, dtype=float)
-    defaults = dict(
-        trial_idx=0,
-        elevation_deg=90.0,
-        indoor_frac=0.7,
-        traditional_frac=0.5,
-        c_haps_mbps=40.0,
-        total_energy=float(energy_ph.sum()),
-        baseline_energy=float(baseline_ph.sum()),
-        energy_per_hour=energy_ph,
-        baseline_energy_per_hour=baseline_ph,
-        offloaded_rate_per_hour=np.zeros(HOURS_PER_WEEK),
-        offloaded_count_per_hour=np.zeros(HOURS_PER_WEEK, dtype=int),
-        active_count_per_hour=np.full(HOURS_PER_WEEK, 2),
-        active_capacity_per_hour=np.full(HOURS_PER_WEEK, 60.0),
-        never_active_bs_count=0,
+def toy_result(energy_ph, baseline_ph, c_haps_mbps=40.0, **schedule):
+    """A trial of two BSs that both stay on in every hour; `schedule` overrides
+    OffloadSchedule fields."""
+    fields = dict(
+        rank=np.tile(np.arange(2, dtype=np.int32), (HOURS_PER_WEEK, 1)),
+        offloaded_rate=np.zeros(HOURS_PER_WEEK),
+        offloaded_count=np.zeros(HOURS_PER_WEEK, dtype=int),
+        energy_per_hour=np.asarray(energy_ph, dtype=float),
+        active_capacity=np.full(HOURS_PER_WEEK, 60.0),
     )
-    defaults.update(kw)
-    return TrialResult(**defaults)
+    fields.update(schedule)
+    draw = TrialConfig(elevation_deg=90.0, indoor_frac=0.7, traditional_frac=0.5, rng_stream=0)
+    baseline_ph = np.asarray(baseline_ph, dtype=float)
+    return TrialResult(0, draw, c_haps_mbps, OffloadSchedule(**fields), baseline_ph)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +115,7 @@ class TestEnergySaving:
     def test_degenerate_floor(self):
         # all BSs asleep with e0 = 0: strategy energy vanishes
         base = np.full(HOURS_PER_WEEK, 2.0)
-        result = toy_result(np.zeros(HOURS_PER_WEEK), base, total_energy=1e-12)
+        result = toy_result(np.zeros(HOURS_PER_WEEK), base)
         assert energy_saving(result, WEEK_MASK) == pytest.approx(1.0)
 
     def test_hand_computed_toy(self):
@@ -154,7 +149,7 @@ class TestOffloadedFraction:
         everything = toy_result(
             np.ones(HOURS_PER_WEEK),
             np.full(HOURS_PER_WEEK, 2.0),
-            offloaded_rate_per_hour=np.full(HOURS_PER_WEEK, total0),
+            offloaded_rate=np.full(HOURS_PER_WEEK, total0),
         )
         assert offloaded_fraction(everything, small_scenario, 0) == pytest.approx(1.0)
 
@@ -164,7 +159,7 @@ class TestOffloadedFraction:
         result = toy_result(
             np.ones(HOURS_PER_WEEK),
             np.full(HOURS_PER_WEEK, 2.0),
-            offloaded_rate_per_hour=np.full(HOURS_PER_WEEK, total0 / 2),
+            offloaded_rate=np.full(HOURS_PER_WEEK, total0 / 2),
         )
         assert offloaded_fraction(result, small_scenario, 0) == pytest.approx(0.5)
 
@@ -188,7 +183,7 @@ class TestEveryBSAsleep:
         )
         with mock.patch.object(montecarlo, "aggregate_capacity", return_value=c_haps):
             result = run_trial(study, sample_trial_config(study, 0))
-        asleep = result.offloaded_count_per_hour == scenario.n_bs
+        asleep = result.schedule.offloaded_count == scenario.n_bs
         if multiple >= 1:
             assert asleep.all()
         with tempfile.TemporaryDirectory() as tmp:
@@ -207,7 +202,7 @@ class TestCapacityUtilization:
             np.ones(HOURS_PER_WEEK),
             np.full(HOURS_PER_WEEK, 2.0),
             c_haps_mbps=demand0 * 0.8,
-            active_capacity_per_hour=np.full(HOURS_PER_WEEK, demand0 * 1.2),
+            active_capacity=np.full(HOURS_PER_WEEK, demand0 * 1.2),
         )
         assert capacity_utilization(result, small_scenario, 0) == pytest.approx(0.5)
 
@@ -223,7 +218,7 @@ class TestCapacityUtilization:
             np.ones(HOURS_PER_WEEK),
             np.full(HOURS_PER_WEEK, 2.0),
             c_haps_mbps=0.0,
-            active_capacity_per_hour=np.zeros(HOURS_PER_WEEK),
+            active_capacity=np.zeros(HOURS_PER_WEEK),
         )
         with pytest.raises(UndefinedMetricError):
             capacity_utilization(result, small_scenario, 0)
@@ -287,7 +282,7 @@ class TestCsvWriters:
             np.ones(HOURS_PER_WEEK),
             np.full(HOURS_PER_WEEK, 2.0),
             c_haps_mbps=0.0,
-            active_capacity_per_hour=capacity,
+            active_capacity=capacity,
         )
         with pytest.raises(UndefinedMetricError, match="capacity at hour 5"):
             write_figure45_csv(tmp_path / "f45.csv", [result], small_scenario)

@@ -102,17 +102,25 @@ class TestStudyConfig:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(study, f.name, getattr(study, f.name))
 
-    @pytest.mark.parametrize("key", ["n_trials", "n_workers"])
-    def test_replace_checks_again(self, study, key):
-        with pytest.raises(InvalidArgumentError, match=f"{key} must be >= 1"):
+    @pytest.mark.parametrize(
+        "key, setting",
+        [("n_trials", "[study] trials (or --trials)"), ("n_workers", "--threads")],
+        ids=["n_trials", "n_workers"],
+    )
+    def test_replace_checks_again(self, study, key, setting):
+        message = re.escape(setting) + r".* must be >= 1, got 0"
+        with pytest.raises(InvalidArgumentError, match=message):
             dataclasses.replace(study, **{key: 0})
 
 
 def _same_result(a, b) -> bool:
-    """Whether two trial results hold the same values, to the bit."""
-    return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name))
-        for f in dataclasses.fields(montecarlo.TrialResult)
+    """Whether two trial results hold the same draw, and the same values and schedule
+    arrays to the bit."""
+    return a.draw == b.draw and all(
+        np.array_equal(getattr(x, f.name), getattr(y, f.name))
+        for x, y in ((a, b), (a.schedule, b.schedule))
+        for f in dataclasses.fields(x)
+        if f.name not in ("draw", "schedule")
     )
 
 
@@ -145,20 +153,21 @@ class TestRunTrial:
         a = run_trial(study, cfg)
         b = run_trial(study, cfg)
         assert a.c_haps_mbps == b.c_haps_mbps
-        np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+        np.testing.assert_array_equal(a.schedule.energy_per_hour, b.schedule.energy_per_hour)
 
     def test_never_worse(self, study):
         for idx in range(study.n_trials):
             result = run_trial(study, sample_trial_config(study, idx), trial_idx=idx)
-            assert result.baseline_energy >= result.total_energy > 0
+            assert float(result.baseline_energy_per_hour.sum()) >= result.schedule.total_energy > 0
 
     def test_bookkeeping_consistency(self, study):
         result = run_trial(study, sample_trial_config(study, 1))
         n = study.scenario.n_bs
         np.testing.assert_array_equal(
-            result.active_count_per_hour + result.offloaded_count_per_hour, np.full(168, n)
+            result.active_count_per_hour + result.schedule.offloaded_count, np.full(168, n)
         )
-        assert result.total_energy == pytest.approx(result.energy_per_hour.sum())
+        schedule = result.schedule
+        assert schedule.total_energy == pytest.approx(schedule.energy_per_hour.sum())
         assert 0 <= result.never_active_bs_count <= n
 
 
@@ -177,7 +186,7 @@ class TestRunStudy:
         par = run_study(dataclasses.replace(study, n_workers=4))
         for a, b in zip(seq, par):
             assert a.c_haps_mbps == b.c_haps_mbps
-            np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+            np.testing.assert_array_equal(a.schedule.energy_per_hour, b.schedule.energy_per_hour)
             np.testing.assert_array_equal(a.offloaded_rate_per_hour, b.offloaded_rate_per_hour)
 
     def test_workers_share_a_fresh_scenario(self, study, many_cpus):
@@ -192,9 +201,11 @@ class TestRunStudy:
                 )
                 par = run_study(dataclasses.replace(study, scenario=fresh, n_workers=8))
                 for a, b in zip(seq, par, strict=True):
-                    np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
                     np.testing.assert_array_equal(
-                        a.offloaded_count_per_hour, b.offloaded_count_per_hour
+                        a.schedule.energy_per_hour, b.schedule.energy_per_hour
+                    )
+                    np.testing.assert_array_equal(
+                        a.schedule.offloaded_count, b.schedule.offloaded_count
                     )
         finally:
             sys.setswitchinterval(interval)
@@ -226,7 +237,7 @@ class TestRunStudy:
         pooled = run_study(dataclasses.replace(study, n_workers=2))
         assert pools == [2]
         for a, b in zip(inline, pooled, strict=True):
-            np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+            np.testing.assert_array_equal(a.schedule.energy_per_hour, b.schedule.energy_per_hour)
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (64, 8), (1, 1), (None, 1)])
     def test_the_pool_is_bounded_by_the_cpus(self, study, monkeypatch, cpus, workers):
@@ -260,7 +271,7 @@ class TestRunStudy:
         results = run_study(many)
         assert sizes == ([workers] if workers > 1 else [])  # one worker runs inline
         for a, b in zip(inline, results, strict=True):
-            np.testing.assert_array_equal(a.energy_per_hour, b.energy_per_hour)
+            np.testing.assert_array_equal(a.schedule.energy_per_hour, b.schedule.energy_per_hour)
 
     def test_study_makes_no_bs_energy_call(self, study, monkeypatch):
         # hours are priced from the scenario's load prefix sums, not from per-BS energies
@@ -287,7 +298,6 @@ class TestRunStudy:
         expected = offload.baseline_energy_per_hour(study.scenario, study.energy)
         for r in run_study(study):
             assert r.baseline_energy_per_hour.tobytes() == expected.tobytes()
-            assert r.baseline_energy == float(expected.sum())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_study_does_not_pin_its_scenario(self, study, workers):
@@ -305,7 +315,9 @@ class TestRunStudy:
         cfg = sample_trial_config(study, 4)
         alone = run_trial(study, cfg, trial_idx=4)
         assert alone.c_haps_mbps == full[4].c_haps_mbps
-        np.testing.assert_array_equal(alone.energy_per_hour, full[4].energy_per_hour)
+        np.testing.assert_array_equal(
+            alone.schedule.energy_per_hour, full[4].schedule.energy_per_hour
+        )
 
 
 class TestPairedMonotonicity:
@@ -323,7 +335,7 @@ class TestPairedMonotonicity:
             cfg = dataclasses.replace(base_cfg, elevation_deg=elevation)
             results.append(run_trial(study, cfg))
         caps = [r.c_haps_mbps for r in results]
-        energies = [r.total_energy for r in results]
+        energies = [r.schedule.total_energy for r in results]
         assert all(b > a for a, b in zip(caps, caps[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
 
@@ -338,7 +350,7 @@ class TestDefaultStudyIsCapacityBound:
         results = run_study(study)
         k_max = OffloadConstraints(min_active_frac=study.min_active_frac).max_offloadable(960)
         assert k_max == 576
-        counts = np.array([r.offloaded_count_per_hour for r in results])
+        counts = np.array([r.schedule.offloaded_count for r in results])
         assert counts.shape == (100, 168) and counts.max() < k_max
         # the floor would bind only where c_haps reaches the 576 quietest BSs' sum
         largest_c_haps = max(r.c_haps_mbps for r in results)
